@@ -8,6 +8,7 @@ gradients into leaves, then clears the tape.
 from __future__ import annotations
 
 import contextlib
+import math
 import struct
 from typing import Callable, Iterable
 
@@ -17,9 +18,9 @@ from scipy.special import erf
 __all__ = [
     "Tensor", "backward", "no_grad", "zero_grad",
     "add", "sub", "mul", "scale", "matmul", "transpose", "reshape", "concat",
-    "index", "tsum", "tmean", "tlog", "clip_min", "softmax", "layer_norm",
+    "index", "tsum", "tlog", "clip_min", "softmax", "layer_norm",
     "gelu", "linear", "AdamW",
-    "save_tensors", "load_tensors",
+    "save_tensors", "load_tensors", "read_exact",
 ]
 
 _TAPE: list["Tensor"] = []
@@ -52,23 +53,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return index(self, key)
@@ -273,12 +257,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    n = a.size if axis is None else a.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def tlog(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(np.log(a.data))
@@ -427,25 +405,30 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
             f.write(arr.tobytes())
 
 
+def read_exact(f, n: int, where) -> bytes:
+    """Exactly n bytes from f; fewer means the container was cut short."""
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"{where}: truncated parameter container")
+    return data
+
+
 def load_tensors(path) -> dict[str, np.ndarray]:
     """Read a container written by save_tensors; bit-exact round trip."""
     out: dict[str, np.ndarray] = {}
     with contextlib.ExitStack() as stack:
         f = path if hasattr(path, "read") else stack.enter_context(open(path, "rb"))
+        where = getattr(f, "name", path)
         if f.read(4) != _MAGIC:
-            raise ValueError(f"{path}: bad magic, not a parameter container")
-        (version,) = struct.unpack("<I", f.read(4))
+            raise ValueError(f"{where}: bad magic, not a parameter container")
+        (version,) = struct.unpack("<I", read_exact(f, 4, where))
         if version != _VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
-        while True:
-            head = f.read(8)
-            if not head:
-                break
-            (nlen,) = struct.unpack("<Q", head)
-            name = f.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<Q", f.read(8))
-            shape = struct.unpack(f"<{rank}Q", f.read(8 * rank)) if rank else ()
-            count = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape)
-            out[name] = data.copy()
+            raise ValueError(f"{where}: unsupported container version {version}")
+        while head := f.read(8):
+            (nlen,) = struct.unpack("<Q", head + read_exact(f, 8 - len(head), where))
+            name = read_exact(f, nlen, where).decode("utf-8")
+            (rank,) = struct.unpack("<Q", read_exact(f, 8, where))
+            shape = struct.unpack(f"<{rank}Q", read_exact(f, 8 * rank, where))
+            data = np.frombuffer(read_exact(f, 8 * math.prod(shape), where), dtype="<f8")
+            out[name] = data.reshape(shape).copy()
     return out

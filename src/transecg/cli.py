@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,17 +69,22 @@ class RunConfig:
     def validate(self) -> None:
         positive = (
             "seq_len", "patch_size", "hidden_dim", "n_layers", "n_heads", "mlp_dim",
-            "fs_target", "batch_size", "max_epochs", "synth_subjects",
+            "fs_target", "synth_subjects",
         )
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name!r} must be positive")
-        if self.lr < 0:
-            raise ValueError("config field 'lr' must be non-negative")
+        fractions = ("train_frac", "val_frac", "test_frac")
+        for name in fractions:
+            if not (0 < getattr(self, name) < 1):
+                raise ValueError(f"config field {name!r} must be in (0, 1)")
+        if abs(sum(getattr(self, name) for name in fractions) - 1) > 1e-9:
+            raise ValueError("config fields 'train_frac', 'val_frac' and 'test_frac' must sum to 1")
         if not (0 < self.survival_prob <= 1):
             raise ValueError("config field 'survival_prob' must be in (0, 1]")
         if self.task not in {t.value for t in Task}:
             raise ValueError(f"config field 'task' must be one of gender|age|id, got {self.task!r}")
+        self.hparams().validate()
 
     def vit_config(self, n_classes: int) -> vit.VitConfig:
         return vit.VitConfig(
@@ -130,9 +135,7 @@ def _apply(cfg: RunConfig, doc: dict, coerce: bool = False) -> RunConfig:
             raise ValueError(f"unknown config field {key!r}")
         if coerce:
             current = getattr(cfg, key)
-            if isinstance(current, bool):
-                value = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
+            if isinstance(current, int):
                 value = int(value)
             elif isinstance(current, float):
                 value = float(value)
@@ -217,96 +220,85 @@ def cmd_preprocess(cfg: RunConfig) -> str:
     return f"preprocess: stored {len(windows)} windows in {workdir}"
 
 
-def load_store(cfg: RunConfig) -> tuple[np.ndarray, list[dict]]:
+def load_store(
+    cfg: RunConfig,
+) -> tuple[np.ndarray, np.ndarray, dict[str, int], training.SplitPlan]:
+    """Read the window store, label each window for the task, and split the
+    labeled ones: (x, y, vocab, plan), with the plan indexing rows of x."""
     workdir = Path(cfg.workdir)
-    with open(workdir / STORE_INDEX, encoding="utf-8") as f:
+    index_path, bin_path = workdir / STORE_INDEX, workdir / STORE_BIN
+    with open(index_path, encoding="utf-8") as f:
         doc = json.load(f)
-    n = len(doc["windows"])
-    data = np.fromfile(workdir / STORE_BIN, dtype="<f8").reshape(n, doc["seq_len"])
-    return data, doc["windows"]
-
-
-def _labeled_windows(
-    cfg: RunConfig, index: list[dict],
-) -> tuple[list, dict[str, int], np.ndarray, list[int]]:
+    rows, seq_len = doc["windows"], doc["seq_len"]
+    size = bin_path.stat().st_size
+    if size != len(rows) * seq_len * 8:
+        raise ValueError(f"{bin_path} holds {size} bytes, but {index_path} lists "
+                         f"{len(rows)} windows of {seq_len} float64 samples")
     task = Task(cfg.task)
-    records = [
-        signal_core.EcgRecord(
-            row["subject_id"], np.zeros(1), cfg.fs_target,
-            gender_label=row["gender"], age_years=row["age_years"],
-        ) for row in index
-    ]
-    vocab = data_io.build_vocab(records, task)
-    labeled = []
-    labels = []
-    kept = []
-    for i, (row, rec) in enumerate(zip(index, records)):
-        label = data_io.record_label(rec, task, vocab)
-        if label is None:
-            continue
-        w = signal_core.EcgWindow(row["subject_id"], np.zeros(1), cfg.fs_target,
-                                  source_offset=row["source_offset"])
-        labeled.append(training.LabeledWindow(window=w, label=label, task=task))
-        labels.append(label)
-        kept.append(i)
-    return labeled, vocab, np.asarray(labels, dtype=np.int64), kept
+    vocab = data_io.build_vocab((row["subject_id"] for row in rows), task)
+    labels = [data_io.record_label(row, task, vocab) for row in rows]
+    kept = [i for i, label in enumerate(labels) if label is not None]
+    x = np.fromfile(bin_path, dtype="<f8").reshape(len(rows), seq_len)[kept]
+    y = np.asarray([labels[i] for i in kept], dtype=np.int64)
+    plan = training.make_split(
+        [rows[i]["subject_id"] for i in kept], [rows[i]["source_offset"] for i in kept],
+        task, cfg.seed, fractions=(cfg.train_frac, cfg.val_frac, cfg.test_frac),
+    )
+    return x, y, vocab, plan
+
+
+def _checkpoint(cfg: RunConfig) -> Path:
+    return Path(cfg.checkpoint) if cfg.checkpoint else Path(cfg.workdir) / "model.ckpt"
+
+
+def _load_model(cfg: RunConfig) -> tuple[dict, vit.VitConfig]:
+    """Load the checkpoint for inference. The split is rebuilt from the config's
+    seed and task, so refuse a checkpoint trained with another seed or task."""
+    ckpt = _checkpoint(cfg)
+    if not ckpt.exists():
+        raise FileNotFoundError(f"checkpoint not found: {ckpt}")
+    params, config, _, meta = vit.load_checkpoint(ckpt)
+    for name in ("seed", "task"):
+        if meta.get(name) != getattr(cfg, name):
+            raise ValueError(
+                f"{ckpt} was trained with {name} {meta.get(name)!r}, but the config's "
+                f"{name} is {getattr(cfg, name)!r}; use the checkpoint's seed and task"
+            )
+    return params, config
 
 
 def cmd_train(cfg: RunConfig) -> str:
-    x, index = load_store(cfg)
-    labeled, vocab, y, kept = _labeled_windows(cfg, index)
-    x = x[kept]
-    task = Task(cfg.task)
-    n_classes = len(vocab)
-    plan = training.make_split(labeled, task, cfg.seed,
-                               fractions=(cfg.train_frac, cfg.val_frac, cfg.test_frac))
-    config = cfg.vit_config(n_classes)
+    x, y, vocab, plan = load_store(cfg)
+    config = cfg.vit_config(len(vocab))
     report, best = training.train(x, y, plan, config, cfg.hparams(), cfg.seed)
 
     test_metrics = None
     if plan.test:
-        test_metrics = training.evaluate(best, config, x[plan.test], y[plan.test], task=task)
+        test_metrics = training.evaluate(best, config, x[plan.test], y[plan.test],
+                                         task=Task(cfg.task))
         report.test_metrics = test_metrics
 
-    workdir = Path(cfg.workdir)
-    ckpt = Path(cfg.checkpoint) if cfg.checkpoint else workdir / "model.ckpt"
+    ckpt = _checkpoint(cfg)
     vit.save_checkpoint(ckpt, best, config, vocab,
                         meta={"task": cfg.task, "seed": cfg.seed})
-    _json_dump(workdir / "train_report.json", report.to_dict())
+    _json_dump(Path(cfg.workdir) / "train_report.json", report.to_dict())
     acc = test_metrics["accuracy"] if test_metrics else float("nan")
     return (f"train: best epoch {report.best_epoch}, "
             f"test accuracy {acc:.3f}, checkpoint {ckpt}")
 
 
 def cmd_evaluate(cfg: RunConfig) -> str:
-    workdir = Path(cfg.workdir)
-    ckpt = Path(cfg.checkpoint) if cfg.checkpoint else workdir / "model.ckpt"
-    if not ckpt.exists():
-        raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    params, config, vocab, meta = vit.load_checkpoint(ckpt)
-    x, index = load_store(cfg)
-    labeled, _, y, kept = _labeled_windows(cfg, index)
-    x = x[kept]
-    task = Task(cfg.task)
-    plan = training.make_split(labeled, task, cfg.seed,
-                               fractions=(cfg.train_frac, cfg.val_frac, cfg.test_frac))
-    metrics = training.evaluate(params, config, x[plan.test], y[plan.test], task=task)
-    _json_dump(workdir / "metrics.json", metrics)
-    return f"evaluate: test accuracy {metrics['accuracy']:.3f} -> {workdir / 'metrics.json'}"
+    params, config = _load_model(cfg)
+    x, y, _, plan = load_store(cfg)
+    metrics = training.evaluate(params, config, x[plan.test], y[plan.test], task=Task(cfg.task))
+    out = Path(cfg.workdir) / "metrics.json"
+    _json_dump(out, metrics)
+    return f"evaluate: test accuracy {metrics['accuracy']:.3f} -> {out}"
 
 
 def cmd_explain(cfg: RunConfig) -> str:
-    workdir = Path(cfg.workdir)
-    ckpt = Path(cfg.checkpoint) if cfg.checkpoint else workdir / "model.ckpt"
-    if not ckpt.exists():
-        raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    params, config, vocab, meta = vit.load_checkpoint(ckpt)
-    x, index = load_store(cfg)
-    labeled, _, y, kept = _labeled_windows(cfg, index)
-    x = x[kept]
-    task = Task(cfg.task)
-    plan = training.make_split(labeled, task, cfg.seed,
-                               fractions=(cfg.train_frac, cfg.val_frac, cfg.test_frac))
+    params, config = _load_model(cfg)
+    x, _, _, plan = load_store(cfg)
     targets = plan.test[:cfg.explain_windows] or plan.train[:cfg.explain_windows]
 
     weights = explain.head_weights(params, config)
@@ -336,7 +328,7 @@ def cmd_explain(cfg: RunConfig) -> str:
         raise ValueError("explain: no window could be attributed")
     combined = explain.aggregate(reports)
     combined.head_weights = [float(v) for v in weights]
-    out = workdir / "explain"
+    out = Path(cfg.workdir) / "explain"
     paths = explain.emit_report(combined, first[0].per_head, first[1], out, config)
     return (f"explain: attributed {len(reports)} windows ({skipped} skipped), "
             f"report {paths['json']}")

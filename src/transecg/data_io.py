@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -95,11 +96,10 @@ def load_record(entry: ManifestEntry) -> EcgRecord:
     )
 
 
-def save_record_csv(path: str | Path, samples: np.ndarray, header: bool = True) -> None:
+def save_record_csv(path: str | Path, samples: np.ndarray) -> None:
     """Write samples one-per-line; repr round-trips float64 exactly."""
     with open(path, "w", encoding="utf-8") as f:
-        if header:
-            f.write("amplitude\n")
+        f.write("amplitude\n")
         for v in np.asarray(samples, dtype=np.float64):
             f.write(f"{float(v)!r}\n")
 
@@ -212,34 +212,29 @@ def age_bin(age_years: int) -> int:
     return len(AGE_BIN_EDGES)
 
 
-def build_vocab(records: list[EcgRecord], task: Task) -> dict[str, int]:
-    """Build the label vocabulary (name -> class index) for a task.
-
-    Records missing the metadata a task needs are excluded with a warning.
-    """
+def build_vocab(subject_ids: Iterable[str], task: Task) -> dict[str, int]:
+    """Build the label vocabulary (name -> class index) for a task."""
     if task is Task.GENDER:
         return {"male": 0, "female": 1}
     if task is Task.AGE_GROUP:
         return {name: i for i, name in enumerate(AGE_BIN_NAMES)}
-    ids = set()
-    for r in records:
-        ids.add(r.subject_id)
-    return {sid: i for i, sid in enumerate(sorted(ids))}
+    return {sid: i for i, sid in enumerate(sorted(set(subject_ids)))}
 
 
-def record_label(record: EcgRecord, task: Task, vocab: dict[str, int]) -> int | None:
-    """Class index of a record for a task, or None (with a warning) if metadata is missing."""
+def record_label(row: dict, task: Task, vocab: dict[str, int]) -> int | None:
+    """Class index of a store row for a task, or None (with a warning) if metadata is missing."""
+    sid = row["subject_id"]
     if task is Task.GENDER:
-        if record.gender_label not in vocab:
-            logger.warning("record %s excluded: no gender label", record.subject_id)
+        if row.get("gender") not in vocab:
+            logger.warning("record %s excluded: no gender label", sid)
             return None
-        return vocab[record.gender_label]
+        return vocab[row["gender"]]
     if task is Task.AGE_GROUP:
-        if record.age_years is None:
-            logger.warning("record %s excluded: no age", record.subject_id)
+        if row.get("age_years") is None:
+            logger.warning("record %s excluded: no age", sid)
             return None
-        return age_bin(record.age_years)
-    if record.subject_id not in vocab:
-        logger.warning("record %s excluded: not in id vocabulary", record.subject_id)
+        return age_bin(row["age_years"])
+    if sid not in vocab:
+        logger.warning("record %s excluded: not in id vocabulary", sid)
         return None
-    return vocab[record.subject_id]
+    return vocab[sid]

@@ -55,9 +55,6 @@ class IntervalMap:
 
     beats: list[dict[str, tuple[int, int]]]
 
-    def all_ranges(self, name: str) -> list[tuple[int, int]]:
-        return [b[name] for b in self.beats if name in b]
-
 
 def pan_tompkins(x: np.ndarray, fs: float) -> RPeakList:
     """Detect R peaks: bandpass, derivative, squaring, integration, adaptive thresholds.

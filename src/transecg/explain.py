@@ -9,7 +9,7 @@ reported as sums of their constituents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,6 @@ FEATURE_CANDIDATES: tuple[tuple[str, tuple[str, ...]], ...] = (
 class PatchImportance:
     per_head: np.ndarray   # [H, N]
     importance: np.ndarray  # [N], mean over heads
-    head_weights: np.ndarray | None = None  # [H], max-normalized
 
 
 @dataclass
@@ -44,25 +43,22 @@ class AttributionReport:
     head_weights: list[float] | None = None
 
 
-def extract_importance(artifacts: ForwardArtifacts, window_index: int = 0,
-                       layer: int = -1) -> PatchImportance:
+def extract_importance(artifacts: ForwardArtifacts) -> PatchImportance:
     """Class-token -> patch attention of the final block, averaged over heads."""
     if not artifacts.attention:
         raise ValueError("attention was not captured during the forward pass")
-    maps = artifacts.attention[layer][window_index]  # [H, T, T]
+    maps = artifacts.attention[-1][0]                # [H, T, T]
     per_head = maps[:, 0, 1:]                        # a_h = A_h[0, 1:N]
     return PatchImportance(per_head=per_head, importance=per_head.mean(axis=0))
 
 
-def head_weights(params: dict[str, Tensor], config: VitConfig,
-                 layer: int | None = None) -> np.ndarray:
+def head_weights(params: dict[str, Tensor], config: VitConfig) -> np.ndarray:
     """Per-head weights from the final block's output projection.
 
     Each head's weight is the Frobenius norm of its rows of W_O, normalized so
     the dominant head scores exactly 1.0.
     """
-    layer = config.n_layers - 1 if layer is None else layer
-    w_o = params[f"layers.{layer}.w_o"].data
+    w_o = params[f"layers.{config.n_layers - 1}.w_o"].data
     dh = config.head_dim
     raw = np.array([
         np.linalg.norm(w_o[h * dh:(h + 1) * dh, :]) for h in range(config.n_heads)
@@ -158,13 +154,13 @@ def _fmt(v: float) -> str:
 
 def emit_report(report: AttributionReport, per_head: np.ndarray,
                 window_samples: np.ndarray, outdir: str | Path,
-                config: VitConfig, prefix: str = "attribution") -> dict[str, Path]:
+                config: VitConfig) -> dict[str, Path]:
     """Write the CSV/JSON/SVG artifact set; byte-deterministic for fixed inputs."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {}
 
-    head_csv = outdir / f"{prefix}_per_head.csv"
+    head_csv = outdir / "attribution_per_head.csv"
     with open(head_csv, "w", encoding="utf-8", newline="\n") as f:
         f.write("head,patch,importance\n")
         for h in range(per_head.shape[0]):
@@ -172,7 +168,7 @@ def emit_report(report: AttributionReport, per_head: np.ndarray,
                 f.write(f"{h},{i},{_fmt(per_head[h, i])}\n")
     paths["per_head_csv"] = head_csv
 
-    interval_csv = outdir / f"{prefix}_intervals.csv"
+    interval_csv = outdir / "attribution_intervals.csv"
     with open(interval_csv, "w", encoding="utf-8", newline="\n") as f:
         f.write("interval,percent\n")
         for name in sorted(report.percentages):
@@ -181,7 +177,7 @@ def emit_report(report: AttributionReport, per_head: np.ndarray,
             f.write(f"{name},{_fmt(report.composites[name])}\n")
     paths["intervals_csv"] = interval_csv
 
-    json_path = outdir / f"{prefix}.json"
+    json_path = outdir / "attribution.json"
     doc = {
         "task": report.task,
         "n_windows": report.n_windows,
@@ -195,7 +191,7 @@ def emit_report(report: AttributionReport, per_head: np.ndarray,
         f.write("\n")
     paths["json"] = json_path
 
-    svg_path = outdir / f"{prefix}.svg"
+    svg_path = outdir / "attribution.svg"
     with open(svg_path, "w", encoding="utf-8", newline="\n") as f:
         f.write(_render_svg(report, per_head.mean(axis=0), window_samples, config))
     paths["svg"] = svg_path

@@ -6,7 +6,7 @@ Pipeline order: bandpass -> median -> resample -> window -> per-window min-max.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -143,9 +143,8 @@ def window(
     record: EcgRecord,
     seq_len: int = DEFAULT_SEQ_LEN,
     stride: int | None = None,
-    normalize: bool = True,
 ) -> list[EcgWindow]:
-    """Cut a (filtered, resampled) record into fixed-length windows.
+    """Cut a (filtered, resampled) record into fixed-length min-max normalized windows.
 
     The trailing partial window is dropped. A record too short for a single
     window yields an empty list and is logged as excluded.
@@ -164,9 +163,7 @@ def window(
         return []
     out = []
     for off in range(0, n - seq_len + 1, stride):
-        seg = record.samples[off:off + seq_len]
-        if normalize:
-            seg = minmax_normalize(seg)
+        seg = minmax_normalize(record.samples[off:off + seq_len])
         out.append(EcgWindow(record.subject_id, seg, fs=record.fs, source_offset=off))
     return out
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,18 +12,10 @@ from . import autodiff as ad
 from . import vit
 from .autodiff import AdamW, Tensor
 from .data_io import Task
-from .signal_core import EcgWindow
 
 logger = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12
-
-
-@dataclass
-class LabeledWindow:
-    window: EcgWindow
-    label: int
-    task: Task
 
 
 @dataclass
@@ -39,7 +32,6 @@ class TrainHParams:
     batch_size: int = 32
     max_epochs: int = 45
     weight_decay: float = 1e-4
-    early_stopping: bool = True
     early_stop_patience: int = 10
     scheduler_factor: float = 0.5
     scheduler_patience: int = 5
@@ -47,7 +39,7 @@ class TrainHParams:
     def validate(self) -> None:
         if self.lr < 0:
             raise ValueError("hyperparameter 'lr' must be non-negative")
-        for name in ("batch_size", "max_epochs"):
+        for name in ("batch_size", "max_epochs", "early_stop_patience", "scheduler_patience"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"hyperparameter {name!r} must be positive")
 
@@ -83,27 +75,24 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
     return ad.scale(ad.tsum(picked), -1.0 / b)
 
 
-def make_split(windows: list[LabeledWindow], task: Task, seed: int,
+def make_split(subject_ids: Sequence[str], offsets: Sequence[int], task: Task, seed: int,
                fractions: tuple[float, float, float] = (0.70, 0.15, 0.15)) -> SplitPlan:
-    """Deterministic 70/15/15 split.
+    """Deterministic 70/15/15 split of windows given by subject and source offset.
 
     Gender and age tasks split by participant (no subject in two lists); the
     participant-ID task splits within each participant, since every subject
     is itself a class. Input ordering does not matter: windows are sorted by
     (subject_id, source_offset) before the seeded shuffle.
     """
-    if len(windows) < 3:
+    if len(subject_ids) < 3:
         raise ValueError("need at least 3 windows to split")
-    order = sorted(
-        range(len(windows)),
-        key=lambda i: (windows[i].window.subject_id, windows[i].window.source_offset),
-    )
+    order = sorted(range(len(subject_ids)), key=lambda i: (subject_ids[i], offsets[i]))
     rng = np.random.default_rng(seed)
 
     if task is Task.PARTICIPANT_ID:
         by_subject: dict[str, list[int]] = {}
         for i in order:
-            by_subject.setdefault(windows[i].window.subject_id, []).append(i)
+            by_subject.setdefault(subject_ids[i], []).append(i)
         train, val, test = [], [], []
         for sid in sorted(by_subject):
             idx = by_subject[sid]
@@ -119,7 +108,7 @@ def make_split(windows: list[LabeledWindow], task: Task, seed: int,
             train.extend(int(i) for i in idx[n_val + n_test:])
         return SplitPlan(sorted(train), sorted(val), sorted(test), "within_participant")
 
-    subjects = sorted({windows[i].window.subject_id for i in order})
+    subjects = sorted(set(subject_ids))
     shuffled = list(rng.permutation(subjects))
     n = len(shuffled)
     n_train = int(round(fractions[0] * n))
@@ -133,7 +122,7 @@ def make_split(windows: list[LabeledWindow], task: Task, seed: int,
         groups[sid] = "test"
     plan = {"train": [], "val": [], "test": []}
     for i in order:
-        plan[groups[windows[i].window.subject_id]].append(i)
+        plan[groups[subject_ids[i]]].append(i)
     return SplitPlan(plan["train"], plan["val"], plan["test"], "by_participant")
 
 
@@ -157,8 +146,7 @@ def predict_probs(params, config, x: np.ndarray, batch_size: int = 64) -> np.nda
 
 
 def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
-          hparams: TrainHParams, seed: int,
-          init: dict[str, Tensor] | None = None) -> tuple[TrainReport, dict[str, Tensor]]:
+          hparams: TrainHParams, seed: int) -> tuple[TrainReport, dict[str, Tensor]]:
     """Optimize the model; returns the report and the best-validation parameters.
 
     Scheduler halves the learning rate after `scheduler_patience` epochs
@@ -168,7 +156,7 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
     hparams.validate()
     if not plan.train or not plan.val:
         raise ValueError("train and val sets must be non-empty")
-    params = init if init is not None else vit.init_params(config, seed)
+    params = vit.init_params(config, seed)
     opt = AdamW(params, lr=hparams.lr, weight_decay=hparams.weight_decay)
     x_tr, y_tr = x[plan.train], y[plan.train]
     x_val, y_val = x[plan.val], y[plan.val]
@@ -217,7 +205,7 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
             stall += 1
             if stall > 0 and stall % hparams.scheduler_patience == 0:
                 opt.lr *= hparams.scheduler_factor
-            if hparams.early_stopping and stall >= hparams.early_stop_patience:
+            if stall >= hparams.early_stop_patience:
                 break
 
     restored = {k: Tensor(v, requires_grad=True, name=k) for k, v in best_params.items()}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class ForwardArtifacts:
     logits: Tensor                      # [B, K]
     probs: Tensor                       # [B, K]
     attention: list[np.ndarray] | None  # per layer, [B, H, N+1, N+1]
-    final_class_token: np.ndarray       # [B, D]
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -72,30 +71,33 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.
     return out
 
 
-def init_params(config: VitConfig, seed: int) -> dict[str, Tensor]:
-    """Deterministic parameter initialization for a given seed."""
-    rng = np.random.default_rng(seed)
-    d, hdh = config.hidden_dim, config.n_heads * config.head_dim
-    p: dict[str, np.ndarray] = {}
-    p["embed.E"] = _truncated_normal(rng, (config.patch_size, d))
-    p["embed.E_pos"] = _truncated_normal(rng, (config.n_patches + 1, d))
-    p["embed.cls"] = np.zeros(d)
+def param_shapes(config: VitConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every model parameter, in initialization order."""
+    d, hdh, m = config.hidden_dim, config.n_heads * config.head_dim, config.mlp_dim
+    shapes = {"embed.E": (config.patch_size, d), "embed.E_pos": (config.n_patches + 1, d),
+              "embed.cls": (d,)}
+    layer = {
+        "w_q": (d, hdh), "w_k": (d, hdh), "w_v": (d, hdh), "w_o": (hdh, d),
+        "ln1.gamma": (d,), "ln1.beta": (d,), "ln2.gamma": (d,), "ln2.beta": (d,),
+        "ffn.w1": (d, m), "ffn.b1": (m,), "ffn.w2": (m, d), "ffn.b2": (d,),
+    }
     for i in range(config.n_layers):
-        pre = f"layers.{i}."
-        p[pre + "w_q"] = _truncated_normal(rng, (d, hdh))
-        p[pre + "w_k"] = _truncated_normal(rng, (d, hdh))
-        p[pre + "w_v"] = _truncated_normal(rng, (d, hdh))
-        p[pre + "w_o"] = _truncated_normal(rng, (hdh, d))
-        p[pre + "ln1.gamma"] = np.ones(d)
-        p[pre + "ln1.beta"] = np.zeros(d)
-        p[pre + "ln2.gamma"] = np.ones(d)
-        p[pre + "ln2.beta"] = np.zeros(d)
-        p[pre + "ffn.w1"] = _truncated_normal(rng, (d, config.mlp_dim))
-        p[pre + "ffn.b1"] = np.zeros(config.mlp_dim)
-        p[pre + "ffn.w2"] = _truncated_normal(rng, (config.mlp_dim, d))
-        p[pre + "ffn.b2"] = np.zeros(d)
-    p["head.w"] = _truncated_normal(rng, (d, config.n_classes))
-    p["head.b"] = np.zeros(config.n_classes)
+        shapes.update({f"layers.{i}.{name}": shape for name, shape in layer.items()})
+    shapes["head.w"] = (d, config.n_classes)
+    shapes["head.b"] = (config.n_classes,)
+    return shapes
+
+
+def init_params(config: VitConfig, seed: int) -> dict[str, Tensor]:
+    """Deterministic parameter initialization for a given seed: truncated-normal
+    matrices, unit layer-norm gains, zero biases and class token."""
+    rng = np.random.default_rng(seed)
+    p: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 2:
+            p[name] = _truncated_normal(rng, shape)
+        else:
+            p[name] = np.ones(shape) if name.endswith("gamma") else np.zeros(shape)
     return {k: Tensor(v, requires_grad=True, name=k) for k, v in p.items()}
 
 
@@ -181,10 +183,7 @@ def forward(x: np.ndarray | Tensor, params: dict[str, Tensor], config: VitConfig
     z0 = z[:, 0, :]                                  # [B, D]
     logits = ad.linear(z0, params["head.w"], params["head.b"])
     probs = ad.softmax(logits, axis=-1)
-    return ForwardArtifacts(
-        logits=logits, probs=probs, attention=attention,
-        final_class_token=z0.data.copy(),
-    )
+    return ForwardArtifacts(logits=logits, probs=probs, attention=attention)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +206,22 @@ def save_checkpoint(path, params: dict[str, Tensor], config: VitConfig,
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], VitConfig, dict[str, int], dict]:
+    """Read a checkpoint written by save_checkpoint, for inference: the returned
+    parameters do not require grad, so a forward pass over them records no tape."""
     with open(path, "rb") as f:
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        doc = json.loads(f.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<Q", ad.read_exact(f, 8, path))
+        header = ad.read_exact(f, hlen, path)
         arrays = ad.load_tensors(f)
-    config = VitConfig(**doc["config"])
-    params = {k: Tensor(v, requires_grad=True, name=k) for k, v in arrays.items()}
+    try:
+        doc = json.loads(header)
+        config = VitConfig(**doc["config"])
+    except (ValueError, KeyError, TypeError) as e:
+        raise ValueError(f"{path}: bad checkpoint header ({e})") from e
+    shapes = param_shapes(config)
+    bad = sorted(k for k in shapes.keys() | arrays.keys()
+                 if k not in arrays or shapes.get(k) != arrays[k].shape)
+    if bad:
+        raise ValueError(f"{path}: parameters {bad} are missing, unknown or "
+                         f"misshapen for the stored config")
+    params = {k: Tensor(v, name=k) for k, v in arrays.items()}
     return params, config, doc["vocab"], doc.get("meta", {})

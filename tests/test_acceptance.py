@@ -18,8 +18,7 @@ from transecg import cli, delineation, explain, signal_core, training, vit
 from transecg.autodiff import Tensor
 from transecg.data_io import DEFAULT_WAVES, SyntheticEcgSpec, Task, WaveParams, synthesize
 from transecg.delineation import BASE_INTERVALS, IntervalMap
-from transecg.signal_core import EcgWindow
-from transecg.training import LabeledWindow, SplitPlan, TrainHParams, cross_entropy
+from transecg.training import SplitPlan, TrainHParams, cross_entropy
 
 TINY = vit.VitConfig(seq_len=40, patch_size=10, hidden_dim=8, n_layers=2,
                      n_heads=2, mlp_dim=16, n_classes=3, survival_prob=1.0)
@@ -225,7 +224,7 @@ def test_07_identity_task():
     """Eight-subject identification beats 3x chance on held-out windows."""
     cfg = vit.VitConfig(seq_len=1000, patch_size=50, hidden_dim=8, n_layers=2,
                         n_heads=2, mlp_dim=16, n_classes=8, survival_prob=1.0)
-    xs, labeled, y = [], [], []
+    xs, subject_ids, offsets, y = [], [], [], []
     for i in range(8):
         # per-subject morphology: distinct T/P amplitudes, widths and timing
         waves = dict(DEFAULT_WAVES)
@@ -237,10 +236,11 @@ def test_07_identity_task():
         ))
         for w in signal_core.window(record, seq_len=cfg.seq_len):
             xs.append(w.samples)
-            labeled.append(LabeledWindow(window=w, label=i, task=Task.PARTICIPANT_ID))
+            subject_ids.append(w.subject_id)
+            offsets.append(w.source_offset)
             y.append(i)
     x, y = np.array(xs), np.array(y)
-    plan = training.make_split(labeled, Task.PARTICIPANT_ID, seed=0)
+    plan = training.make_split(subject_ids, offsets, Task.PARTICIPANT_ID, seed=0)
     hp = TrainHParams(lr=1e-2, batch_size=8, max_epochs=100, weight_decay=0.0,
                       early_stop_patience=30)
     _, best = training.train(x, y, plan, cfg, hp, seed=0)

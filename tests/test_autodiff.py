@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gradcheck import fd_gradient, rel_error
 from transecg import autodiff as ad
@@ -228,3 +230,33 @@ class TestSerialization:
         ad.save_tensors(buf, {"x": np.arange(4.0)})
         buf.seek(0)
         assert np.array_equal(ad.load_tensors(buf)["x"], np.arange(4.0))
+
+
+def _container(tensors):
+    buf = io.BytesIO()
+    ad.save_tensors(buf, tensors)
+    return buf.getvalue()
+
+
+_TENSORS = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([1.5, -2.5])}
+_BLOB = _container(_TENSORS)
+# byte offsets where a tensor record ends: a cut there leaves a valid, shorter container
+_BOUNDARIES = {len(_container(dict(list(_TENSORS.items())[:k]))) for k in range(len(_TENSORS))}
+
+
+class TestTruncation:
+    @given(cut=st.integers(0, len(_BLOB) - 1))
+    def test_truncated_container_raises_value_error(self, cut):
+        try:
+            loaded = ad.load_tensors(io.BytesIO(_BLOB[:cut]))
+        except ValueError:
+            return
+        # only a cut exactly between tensor records reads back, as that prefix
+        assert cut in _BOUNDARIES
+        assert list(loaded) == list(_TENSORS)[:len(loaded)]
+
+    def test_short_read_names_the_path(self, tmp_path):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(_BLOB[:-3])
+        with pytest.raises(ValueError, match="cut.bin"):
+            ad.load_tensors(path)

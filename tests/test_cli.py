@@ -1,10 +1,12 @@
+import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from transecg import cli
+from transecg import autodiff, cli
 
 TINY_ARGS = [
     "--set", "seq_len=1000", "--set", "patch_size=50",
@@ -17,8 +19,10 @@ TINY_ARGS = [
 
 
 def run(command, workdir, extra=()):
-    return cli.main([command, "--workdir", str(workdir), "--seed", "0",
+    code = cli.main([command, "--workdir", str(workdir), "--seed", "0",
                      "--task", "gender", *TINY_ARGS, *extra])
+    assert not autodiff._TAPE, f"{command} left {len(autodiff._TAPE)} nodes on the tape"
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +129,46 @@ class TestErrors:
     def test_bad_task_rejected_by_config(self):
         with pytest.raises(ValueError, match="task"):
             cli.RunConfig(task="species").validate()
+
+    @pytest.mark.parametrize("overrides,field", [
+        (["scheduler_patience=0"], "scheduler_patience"),
+        (["early_stop_patience=0"], "early_stop_patience"),
+        (["batch_size=0"], "batch_size"),
+        (["train_frac=0.9", "val_frac=0.9"], "val_frac"),
+        (["train_frac=0.5"], "train_frac"),
+        (["test_frac=0", "train_frac=0.85"], "test_frac"),
+        (["val_frac=1.5"], "val_frac"),
+    ])
+    def test_bad_config_exits_naming_field(self, tmp_path, capsys, overrides, field):
+        extra = [arg for item in overrides for arg in ("--set", item)]
+        assert run("synth", tmp_path, extra=extra) == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    @pytest.mark.parametrize("flag,value", [("--seed", "3"), ("--task", "age")])
+    def test_checkpoint_split_mismatch_refused(self, pipeline, capsys, command, flag, value):
+        assert run(command, pipeline, extra=[flag, value]) == 1
+        err = capsys.readouterr().err
+        assert str(pipeline / "model.ckpt") in err and flag[2:] in err
+
+    @pytest.mark.parametrize("where", ["middle", "tensor_boundary"])
+    def test_truncated_checkpoint_exits_naming_path(self, pipeline, tmp_path, capsys, where):
+        blob = (pipeline / "model.ckpt").read_bytes()
+        if where == "middle":
+            cut = len(blob) // 2
+        else:  # drop the last tensor record whole: the container itself stays well-formed
+            buf = io.BytesIO()
+            autodiff.save_tensors(buf, {"head.b": np.zeros(2)})
+            cut = len(blob) - (len(buf.getvalue()) - 8)
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(blob[:cut])
+        assert run("evaluate", pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
+        assert str(bad) in capsys.readouterr().err
+
+    def test_short_store_exits_naming_both_files(self, pipeline, tmp_path, capsys):
+        shutil.copy(pipeline / "windows.json", tmp_path / "windows.json")
+        data = (pipeline / "windows.bin").read_bytes()
+        (tmp_path / "windows.bin").write_bytes(data[:len(data) // 2])
+        assert run("train", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "windows.bin" in err and "windows.json" in err

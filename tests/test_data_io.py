@@ -18,7 +18,6 @@ from transecg.data_io import (
     synthesize,
 )
 from transecg.delineation import delineate, pan_tompkins
-from transecg.signal_core import EcgRecord
 
 
 def write_manifest(tmp_path, records, dataset="toy"):
@@ -195,20 +194,19 @@ class TestLabels:
         assert vocab == {"0-18": 0, "19-35": 1, "36-50": 2, "51-65": 3, "66+": 4}
 
     def test_id_vocab_sorted(self):
-        recs = [EcgRecord(sid, np.zeros(4), 250.0) for sid in ("B", "A", "C", "A")]
-        assert build_vocab(recs, Task.PARTICIPANT_ID) == {"A": 0, "B": 1, "C": 2}
+        assert build_vocab(["B", "A", "C", "A"], Task.PARTICIPANT_ID) == {"A": 0, "B": 1, "C": 2}
 
     def test_record_label_per_task(self):
-        rec = EcgRecord("S7", np.zeros(4), 250.0, gender_label="female", age_years=40)
-        assert record_label(rec, Task.GENDER, build_vocab([rec], Task.GENDER)) == 1
-        assert record_label(rec, Task.AGE_GROUP, build_vocab([rec], Task.AGE_GROUP)) == 2
-        vocab = build_vocab([rec], Task.PARTICIPANT_ID)
-        assert record_label(rec, Task.PARTICIPANT_ID, vocab) == 0
+        row = {"subject_id": "S7", "gender": "female", "age_years": 40}
+        assert record_label(row, Task.GENDER, build_vocab(["S7"], Task.GENDER)) == 1
+        assert record_label(row, Task.AGE_GROUP, build_vocab(["S7"], Task.AGE_GROUP)) == 2
+        vocab = build_vocab(["S7"], Task.PARTICIPANT_ID)
+        assert record_label(row, Task.PARTICIPANT_ID, vocab) == 0
 
     def test_missing_metadata_returns_none(self):
-        rec = EcgRecord("S1", np.zeros(4), 250.0)
-        assert record_label(rec, Task.GENDER, build_vocab([rec], Task.GENDER)) is None
-        assert record_label(rec, Task.AGE_GROUP, build_vocab([rec], Task.AGE_GROUP)) is None
-        other = EcgRecord("S2", np.zeros(4), 250.0)
+        row = {"subject_id": "S1", "gender": None, "age_years": None}
+        assert record_label(row, Task.GENDER, build_vocab(["S1"], Task.GENDER)) is None
+        assert record_label(row, Task.AGE_GROUP, build_vocab(["S1"], Task.AGE_GROUP)) is None
+        other = {"subject_id": "S2", "gender": None, "age_years": None}
         assert record_label(other, Task.PARTICIPANT_ID,
-                            build_vocab([rec], Task.PARTICIPANT_ID)) is None
+                            build_vocab(["S1"], Task.PARTICIPANT_ID)) is None

@@ -13,11 +13,7 @@ TINY = vit.VitConfig(seq_len=40, patch_size=10, hidden_dim=8, n_layers=2,
 
 def artifacts_with_attention(maps):
     """Wrap hand-built per-layer attention into ForwardArtifacts."""
-    b = maps[-1].shape[0]
-    return ForwardArtifacts(
-        logits=None, probs=None, attention=maps,
-        final_class_token=np.zeros((b, 8)),
-    )
+    return ForwardArtifacts(logits=None, probs=None, attention=maps)
 
 
 class TestExtractImportance:
@@ -48,8 +44,7 @@ class TestExtractImportance:
         assert np.array_equal(imp.importance, expected)
 
     def test_missing_attention_rejected(self):
-        art = ForwardArtifacts(logits=None, probs=None, attention=None,
-                               final_class_token=np.zeros((1, 8)))
+        art = ForwardArtifacts(logits=None, probs=None, attention=None)
         with pytest.raises(ValueError):
             explain.extract_importance(art)
 

@@ -7,20 +7,16 @@ from transecg import training as tr
 from transecg import vit
 from transecg.autodiff import Tensor
 from transecg.data_io import Task
-from transecg.signal_core import EcgWindow
 
 TINY = vit.VitConfig(seq_len=40, patch_size=10, hidden_dim=8, n_layers=2,
                      n_heads=2, mlp_dim=16, n_classes=2, survival_prob=1.0)
 
 
-def make_windows(n_subjects, per_subject, seed=0):
-    """One LabeledWindow list with deterministic subject metadata."""
-    out = []
-    for s in range(n_subjects):
-        for i in range(per_subject):
-            w = EcgWindow(f"S{s:03d}", np.zeros(4), 250.0, source_offset=i * 2000)
-            out.append(tr.LabeledWindow(window=w, label=s % 2, task=Task.GENDER))
-    return out
+def make_windows(n_subjects, per_subject):
+    """Subject IDs and source offsets of per_subject windows for each subject."""
+    sids = [f"S{s:03d}" for s in range(n_subjects) for _ in range(per_subject)]
+    offsets = [i * 2000 for _ in range(n_subjects) for i in range(per_subject)]
+    return sids, offsets
 
 
 def separable_dataset(n_per_class=16, seed=0):
@@ -84,56 +80,48 @@ class TestCrossEntropy:
 
 class TestMakeSplit:
     def test_by_participant_no_overlap(self):
-        windows = make_windows(10, 10)
-        plan = tr.make_split(windows, Task.GENDER, seed=0)
+        sids, offsets = make_windows(10, 10)
+        plan = tr.make_split(sids, offsets, Task.GENDER, seed=0)
         assert plan.split_mode == "by_participant"
-        groups = [
-            {windows[i].window.subject_id for i in part}
-            for part in (plan.train, plan.val, plan.test)
-        ]
+        groups = [{sids[i] for i in part} for part in (plan.train, plan.val, plan.test)]
         assert not (groups[0] & groups[1]) and not (groups[0] & groups[2])
         assert not (groups[1] & groups[2])
         assert len(plan.train) + len(plan.val) + len(plan.test) == 100
         assert len(groups[0]) == 7
 
     def test_within_participant_all_classes_everywhere(self):
-        windows = make_windows(5, 8)
-        plan = tr.make_split(windows, Task.PARTICIPANT_ID, seed=1)
+        sids, offsets = make_windows(5, 8)
+        plan = tr.make_split(sids, offsets, Task.PARTICIPANT_ID, seed=1)
         assert plan.split_mode == "within_participant"
         for part in (plan.train, plan.val, plan.test):
-            assert {windows[i].window.subject_id for i in part} == {
+            assert {sids[i] for i in part} == {
                 f"S{s:03d}" for s in range(5)
             }
 
     def test_id_task_excludes_sparse_participants(self):
-        windows = make_windows(3, 4) + [
-            tr.LabeledWindow(
-                window=EcgWindow("S999", np.zeros(4), 250.0, source_offset=o),
-                label=3, task=Task.PARTICIPANT_ID)
-            for o in (0, 2000)
-        ]
-        plan = tr.make_split(windows, Task.PARTICIPANT_ID, seed=0)
-        used = {windows[i].window.subject_id
-                for part in (plan.train, plan.val, plan.test) for i in part}
+        sids, offsets = make_windows(3, 4)
+        sids, offsets = sids + ["S999", "S999"], offsets + [0, 2000]
+        plan = tr.make_split(sids, offsets, Task.PARTICIPANT_ID, seed=0)
+        used = {sids[i] for part in (plan.train, plan.val, plan.test) for i in part}
         assert "S999" not in used
 
     def test_deterministic_and_order_invariant(self):
-        windows = make_windows(8, 6)
-        a = tr.make_split(windows, Task.GENDER, seed=7)
-        b = tr.make_split(windows, Task.GENDER, seed=7)
+        sids, offsets = make_windows(8, 6)
+        a = tr.make_split(sids, offsets, Task.GENDER, seed=7)
+        b = tr.make_split(sids, offsets, Task.GENDER, seed=7)
         assert (a.train, a.val, a.test) == (b.train, b.val, b.test)
         # shuffled input ordering maps to the same window identities
-        perm = np.random.default_rng(0).permutation(len(windows))
-        shuffled = [windows[i] for i in perm]
-        c = tr.make_split(shuffled, Task.GENDER, seed=7)
-        def keyset(ws, idx):
-            return sorted((ws[i].window.subject_id, ws[i].window.source_offset) for i in idx)
-        assert keyset(windows, a.train) == keyset(shuffled, c.train)
-        assert keyset(windows, a.test) == keyset(shuffled, c.test)
+        perm = np.random.default_rng(0).permutation(len(sids))
+        sids2, offsets2 = [sids[i] for i in perm], [offsets[i] for i in perm]
+        c = tr.make_split(sids2, offsets2, Task.GENDER, seed=7)
+        def keyset(s, o, idx):
+            return sorted((s[i], o[i]) for i in idx)
+        assert keyset(sids, offsets, a.train) == keyset(sids2, offsets2, c.train)
+        assert keyset(sids, offsets, a.test) == keyset(sids2, offsets2, c.test)
 
     def test_too_few_windows_rejected(self):
         with pytest.raises(ValueError):
-            tr.make_split(make_windows(1, 2), Task.GENDER, seed=0)
+            tr.make_split(*make_windows(1, 2), Task.GENDER, seed=0)
 
 
 class TestTrainLoop:
@@ -144,7 +132,7 @@ class TestTrainLoop:
         plan = tr.SplitPlan(train=list(range(24)), val=list(range(24, 32)), test=[],
                             split_mode="by_participant")
         hp = tr.TrainHParams(lr=1e-2, batch_size=8, max_epochs=200,
-                             weight_decay=0.0, early_stopping=False)
+                             weight_decay=0.0, early_stop_patience=200)
         report, best = tr.train(x, y, plan, TINY, hp, seed=0)
         assert report.epochs[-1]["train_accuracy"] >= 0.95
 
@@ -153,10 +141,9 @@ class TestTrainLoop:
         plan = tr.SplitPlan(train=[0, 1, 4, 5], val=[2, 6], test=[],
                             split_mode="by_participant")
         hp = tr.TrainHParams(lr=0.0, batch_size=4, max_epochs=2,
-                             weight_decay=0.0, early_stopping=False)
-        init = vit.init_params(TINY, seed=0)
-        snapshot = {k: p.data.copy() for k, p in init.items()}
-        report, best = tr.train(x, y, plan, TINY, hp, seed=0, init=init)
+                             weight_decay=0.0, early_stop_patience=2)
+        snapshot = {k: p.data for k, p in vit.init_params(TINY, seed=0).items()}
+        report, best = tr.train(x, y, plan, TINY, hp, seed=0)
         for k in snapshot:
             assert np.array_equal(best[k].data, snapshot[k])
         losses = [e["train_loss"] for e in report.epochs]
@@ -182,7 +169,7 @@ class TestTrainLoop:
         x, y = separable_dataset(n_per_class=8)
         plan = tr.SplitPlan(train=list(range(12)), val=list(range(12, 16)), test=[],
                             split_mode="by_participant")
-        hp = tr.TrainHParams(lr=3e-3, batch_size=8, max_epochs=20, early_stopping=False)
+        hp = tr.TrainHParams(lr=3e-3, batch_size=8, max_epochs=20, early_stop_patience=20)
         report, _ = tr.train(x, y, plan, TINY, hp, seed=0)
         best = report.epochs[report.best_epoch]["val_accuracy"]
         assert best == max(e["val_accuracy"] for e in report.epochs)

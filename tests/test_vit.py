@@ -1,5 +1,10 @@
+import dataclasses
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gradcheck import fd_gradient, rel_error
 from transecg import autodiff as ad
@@ -229,3 +234,45 @@ class TestCheckpoint:
         assert meta["task"] == "gender"
         after = vit.forward(x, params2, cfg2).probs.data
         assert np.array_equal(before, after)
+
+    def test_loaded_params_record_no_tape(self, tiny_params, tmp_path):
+        path = tmp_path / "model.ckpt"
+        vit.save_checkpoint(path, tiny_params, TINY, {})
+        params, cfg, _, _ = vit.load_checkpoint(path)
+        assert not any(p.requires_grad for p in params.values())
+        taped = len(ad._TAPE)
+        vit.forward(tiny_batch(1), params, cfg, capture_attention=True)
+        assert len(ad._TAPE) == taped
+
+    def test_params_checked_against_config(self, tiny_params, tmp_path):
+        path = tmp_path / "model.ckpt"
+        wider = dataclasses.replace(TINY, mlp_dim=32)
+        vit.save_checkpoint(path, tiny_params, wider, {})
+        with pytest.raises(ValueError, match="ffn.b1"):
+            vit.load_checkpoint(path)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_truncation_raises_value_error(self, tmp_path, data):
+        blob = _checkpoint_bytes(tmp_path)
+        # a cut between tensor records leaves a well-formed container: try one too
+        last = len(blob) - len(_tensor_record("head.b", (TINY.n_classes,)))
+        cut = data.draw(st.integers(0, len(blob) - 1) | st.just(last))
+        path = tmp_path / f"cut{cut}.ckpt"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match=path.name):
+            vit.load_checkpoint(path)
+
+
+def _tensor_record(name, shape):
+    """Bytes save_tensors writes for one tensor, without the container header."""
+    buf = io.BytesIO()
+    ad.save_tensors(buf, {name: np.zeros(shape)})
+    return buf.getvalue()[8:]
+
+
+def _checkpoint_bytes(tmp_path):
+    path = tmp_path / "model.ckpt"
+    if not path.exists():
+        vit.save_checkpoint(path, vit.init_params(TINY, seed=0), TINY, {"a": 0})
+    return path.read_bytes()
