@@ -98,19 +98,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-accumulate gradients of a scalar loss; clears the tape."""
+    """Reverse-accumulate gradients of a scalar loss; clears the tape, also on error."""
     global _TAPE
-    if loss.size != 1:
-        raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not np.all(np.isfinite(loss.data)):
-        raise FloatingPointError("loss is not finite")
-    loss.accumulate(np.ones_like(loss.data))
-    for node in reversed(_TAPE):
-        if node.grad is not None and node._backward is not None:
-            node._backward(node.grad)
-    for node in _TAPE:
-        node._backward = None
-    _TAPE = []
+    try:
+        if loss.size != 1:
+            raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+        if not np.all(np.isfinite(loss.data)):
+            raise FloatingPointError("loss is not finite")
+        loss.accumulate(np.ones_like(loss.data))
+        for node in reversed(_TAPE):
+            if node.grad is not None and node._backward is not None:
+                node._backward(node.grad)
+    finally:
+        for node in _TAPE:
+            node._backward = None
+        _TAPE = []
 
 
 def zero_grad(params: Iterable[Tensor]) -> None:

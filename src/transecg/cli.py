@@ -67,11 +67,8 @@ class RunConfig:
     checkpoint: str = ""
 
     def validate(self) -> None:
-        positive = (
-            "seq_len", "patch_size", "hidden_dim", "n_layers", "n_heads", "mlp_dim",
-            "fs_target", "synth_subjects",
-        )
-        for name in positive:
+        self.vit_config(2)
+        for name in ("fs_target", "synth_subjects"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name!r} must be positive")
         fractions = ("train_frac", "val_frac", "test_frac")
@@ -80,8 +77,6 @@ class RunConfig:
                 raise ValueError(f"config field {name!r} must be in (0, 1)")
         if abs(sum(getattr(self, name) for name in fractions) - 1) > 1e-9:
             raise ValueError("config fields 'train_frac', 'val_frac' and 'test_frac' must sum to 1")
-        if not (0 < self.survival_prob <= 1):
-            raise ValueError("config field 'survival_prob' must be in (0, 1]")
         if self.task not in {t.value for t in Task}:
             raise ValueError(f"config field 'task' must be one of gender|age|id, got {self.task!r}")
         self.hparams().validate()
@@ -128,17 +123,17 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _apply(cfg: RunConfig, doc: dict, coerce: bool = False) -> RunConfig:
-    fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
     updates = {}
     for key, value in doc.items():
-        if key not in fields:
+        if key not in kinds:
             raise ValueError(f"unknown config field {key!r}")
         if coerce:
-            current = getattr(cfg, key)
-            if isinstance(current, int):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
+            try:
+                value = kinds[key](value)
+            except ValueError:
+                raise ValueError(f"config field {key!r} expects {kinds[key].__name__}, "
+                                 f"got {value!r}") from None
         updates[key] = value
     return dataclasses.replace(cfg, **updates)
 
@@ -229,19 +224,24 @@ def load_store(
     index_path, bin_path = workdir / STORE_INDEX, workdir / STORE_BIN
     with open(index_path, encoding="utf-8") as f:
         doc = json.load(f)
-    rows, seq_len = doc["windows"], doc["seq_len"]
+    try:
+        rows, seq_len = doc["windows"], doc["seq_len"]
+        subject_ids = [row["subject_id"] for row in rows]
+        offsets = [row["source_offset"] for row in rows]
+    except KeyError as e:
+        raise ValueError(f"{index_path} has no field {e.args[0]!r}") from None
     size = bin_path.stat().st_size
     if size != len(rows) * seq_len * 8:
         raise ValueError(f"{bin_path} holds {size} bytes, but {index_path} lists "
                          f"{len(rows)} windows of {seq_len} float64 samples")
     task = Task(cfg.task)
-    vocab = data_io.build_vocab((row["subject_id"] for row in rows), task)
+    vocab = data_io.build_vocab(subject_ids, task)
     labels = [data_io.record_label(row, task, vocab) for row in rows]
     kept = [i for i, label in enumerate(labels) if label is not None]
     x = np.fromfile(bin_path, dtype="<f8").reshape(len(rows), seq_len)[kept]
     y = np.asarray([labels[i] for i in kept], dtype=np.int64)
     plan = training.make_split(
-        [rows[i]["subject_id"] for i in kept], [rows[i]["source_offset"] for i in kept],
+        [subject_ids[i] for i in kept], [offsets[i] for i in kept],
         task, cfg.seed, fractions=(cfg.train_frac, cfg.val_frac, cfg.test_frac),
     )
     return x, y, vocab, plan
@@ -299,37 +299,35 @@ def cmd_evaluate(cfg: RunConfig) -> str:
 def cmd_explain(cfg: RunConfig) -> str:
     params, config = _load_model(cfg)
     x, _, _, plan = load_store(cfg)
-    targets = plan.test[:cfg.explain_windows] or plan.train[:cfg.explain_windows]
+    if not plan.test:
+        raise ValueError("explain: the test split is empty; raise test_frac or add subjects")
 
-    weights = explain.head_weights(params, config)
     reports = []
     first = None
     skipped = 0
-    for i in targets:
+    for i in plan.test[:cfg.explain_windows]:
         window = x[i]
         art = vit.forward(window[None, :], params, config, capture_attention=True)
-        imp = explain.extract_importance(art)
+        per_head = explain.extract_importance(art)[0]
         try:
             peaks = delineation.pan_tompkins(window, cfg.fs_target)
             if peaks.indices.size == 0:
                 raise ValueError("no beats")
             fids = delineation.delineate(window, peaks, cfg.fs_target)
             imap = delineation.intervals(fids, cfg.fs_target)
-            rep = explain.attribute(imp.importance, imap, config, task=cfg.task)
+            rep = explain.attribute(per_head.mean(axis=0), imap, config, task=cfg.task)
         except ValueError:
             skipped += 1
             continue
-        rep.head_weights = [float(v) for v in weights]
         reports.append(rep)
         if first is None:
-            first = (imp, window)
+            first = (per_head, window)
 
     if not reports:
         raise ValueError("explain: no window could be attributed")
     combined = explain.aggregate(reports)
-    combined.head_weights = [float(v) for v in weights]
-    out = Path(cfg.workdir) / "explain"
-    paths = explain.emit_report(combined, first[0].per_head, first[1], out, config)
+    combined.head_weights = [float(v) for v in explain.head_weights(params, config)]
+    paths = explain.emit_report(combined, *first, Path(cfg.workdir) / "explain")
     return (f"explain: attributed {len(reports)} windows ({skipped} skipped), "
             f"report {paths['json']}")
 

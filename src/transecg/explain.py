@@ -28,12 +28,6 @@ FEATURE_CANDIDATES: tuple[tuple[str, tuple[str, ...]], ...] = (
 
 
 @dataclass
-class PatchImportance:
-    per_head: np.ndarray   # [H, N]
-    importance: np.ndarray  # [N], mean over heads
-
-
-@dataclass
 class AttributionReport:
     task: str
     percentages: dict[str, float]            # base partition, sums to 100
@@ -43,13 +37,11 @@ class AttributionReport:
     head_weights: list[float] | None = None
 
 
-def extract_importance(artifacts: ForwardArtifacts) -> PatchImportance:
-    """Class-token -> patch attention of the final block, averaged over heads."""
-    if not artifacts.attention:
+def extract_importance(artifacts: ForwardArtifacts) -> np.ndarray:
+    """Class-token -> patch attention of the final block, per head: [B, H, N]."""
+    if artifacts.attention is None:
         raise ValueError("attention was not captured during the forward pass")
-    maps = artifacts.attention[-1][0]                # [H, T, T]
-    per_head = maps[:, 0, 1:]                        # a_h = A_h[0, 1:N]
-    return PatchImportance(per_head=per_head, importance=per_head.mean(axis=0))
+    return artifacts.attention[:, :, 0, 1:]          # a_h = A_h[0, 1:N]
 
 
 def head_weights(params: dict[str, Tensor], config: VitConfig) -> np.ndarray:
@@ -70,22 +62,17 @@ def attribute(importance: np.ndarray, interval_map: IntervalMap,
               config: VitConfig, task: str = "gender") -> AttributionReport:
     """Distribute patch importance over the delineated base intervals.
 
-    Each patch's importance is assigned to intervals in proportion to sample
-    overlap; masses are summed across all beats, then normalized to percent.
+    Each patch's importance is spread evenly over its samples; an interval's
+    mass is the sum over its samples, across all beats, normalized to percent.
     """
-    importance = np.asarray(importance, dtype=np.float64)
     p = config.patch_size
+    per_sample = np.repeat(np.asarray(importance, dtype=np.float64) / p, p)
     mass = {name: 0.0 for name in BASE_INTERVALS}
     for beat in interval_map.beats:
         for name in BASE_INTERVALS:
-            if name not in beat:
-                continue
-            lo, hi = beat[name]
-            first, last = lo // p, (hi - 1) // p
-            for i in range(max(0, first), min(importance.size - 1, last) + 1):
-                overlap = min(hi, (i + 1) * p) - max(lo, i * p)
-                if overlap > 0:
-                    mass[name] += importance[i] * overlap / p
+            if name in beat:
+                lo, hi = beat[name]
+                mass[name] += per_sample[lo:hi].sum()
 
     total = sum(mass.values())
     if total <= 0.0:
@@ -97,7 +84,7 @@ def attribute(importance: np.ndarray, interval_map: IntervalMap,
     }
     return AttributionReport(
         task=task, percentages=pct, composites=composites,
-        top3=_top3(pct), n_windows=1,
+        top3=_top3(pct),
     )
 
 
@@ -112,25 +99,21 @@ def _top3(pct: dict[str, float]) -> list[tuple[str, float]]:
                 continue
             value = sum(pct[p] for p in parts)
             if best is None or value > best[1]:
-                best = (name, value)
+                best = (name, value, parts)
         if best is None or best[1] <= 0.0:
             break
         out.append((best[0], best[1]))
-        for cand_name, parts in FEATURE_CANDIDATES:
-            if cand_name == best[0]:
-                pool -= set(parts)
-                break
+        pool -= set(best[2])
     return out
 
 
 def aggregate(reports: list[AttributionReport]) -> AttributionReport:
-    """Window-count-weighted mean of per-window percentages."""
+    """Mean of per-window percentages."""
     if not reports:
         raise ValueError("nothing to aggregate")
-    weights = np.array([r.n_windows for r in reports], dtype=np.float64)
-    weights /= weights.sum()
+    w = 1.0 / len(reports)
     pct = {
-        name: float(sum(w * r.percentages[name] for w, r in zip(weights, reports)))
+        name: float(sum(w * r.percentages[name] for r in reports))
         for name in BASE_INTERVALS
     }
     composites = {
@@ -139,8 +122,7 @@ def aggregate(reports: list[AttributionReport]) -> AttributionReport:
     }
     return AttributionReport(
         task=reports[0].task, percentages=pct, composites=composites,
-        top3=_top3(pct), n_windows=int(sum(r.n_windows for r in reports)),
-        head_weights=reports[0].head_weights,
+        top3=_top3(pct), n_windows=len(reports),
     )
 
 
@@ -153,8 +135,7 @@ def _fmt(v: float) -> str:
 
 
 def emit_report(report: AttributionReport, per_head: np.ndarray,
-                window_samples: np.ndarray, outdir: str | Path,
-                config: VitConfig) -> dict[str, Path]:
+                window_samples: np.ndarray, outdir: str | Path) -> dict[str, Path]:
     """Write the CSV/JSON/SVG artifact set; byte-deterministic for fixed inputs."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -193,17 +174,16 @@ def emit_report(report: AttributionReport, per_head: np.ndarray,
 
     svg_path = outdir / "attribution.svg"
     with open(svg_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(_render_svg(report, per_head.mean(axis=0), window_samples, config))
+        f.write(_render_svg(report, per_head.mean(axis=0), window_samples))
     paths["svg"] = svg_path
     return paths
 
 
 def _render_svg(report: AttributionReport, importance: np.ndarray,
-                samples: np.ndarray, config: VitConfig,
-                width: int = 1200, height: int = 360) -> str:
+                samples: np.ndarray) -> str:
     """ECG trace with one shaded rectangle per patch and interval labels."""
-    n = config.n_patches
-    pad = 30
+    n = importance.size
+    width, height, pad = 1200, 360, 30
     plot_w, plot_h = width - 2 * pad, height - 2 * pad
     peak = importance.max() if importance.size and importance.max() > 0 else 1.0
 
@@ -214,7 +194,7 @@ def _render_svg(report: AttributionReport, importance: np.ndarray,
     ]
     patch_w = plot_w / n
     for i in range(n):
-        opacity = 0.85 * float(importance[i]) / peak if i < importance.size else 0.0
+        opacity = 0.85 * float(importance[i]) / peak
         parts.append(
             f'<rect class="patch" x="{_fmt(pad + i * patch_w)}" y="{pad}" '
             f'width="{_fmt(patch_w)}" height="{plot_h}" '
@@ -231,7 +211,7 @@ def _render_svg(report: AttributionReport, importance: np.ndarray,
     parts.append(f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1"/>')
     for j, (name, value) in enumerate(report.top3):
         parts.append(
-            f'<text x="{pad}" y="{18 + 0 * j}" dx="{j * 320}" font-size="14" '
+            f'<text x="{pad}" y="18" dx="{j * 320}" font-size="14" '
             f'font-family="monospace">{name}: {_fmt(value)}%</text>'
         )
     parts.append("</svg>")

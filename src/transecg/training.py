@@ -174,11 +174,10 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
             opt.zero_grad()
             art = vit.forward(x_tr[idx], params, config, training=True, rng=rng)
             loss = cross_entropy(art.probs, y_tr[idx])
-            if not np.isfinite(loss.data):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}"
-                )
-            ad.backward(loss)
+            try:
+                ad.backward(loss)
+            except FloatingPointError as e:
+                raise FloatingPointError(f"{e} at epoch {epoch}, batch {batch_no}") from e
             opt.step()
             losses.append(float(loss.data))
             correct += int(np.sum(np.argmax(art.probs.data, axis=1) == y_tr[idx]))

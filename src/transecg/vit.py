@@ -34,16 +34,18 @@ class VitConfig:
     ln_eps: float = 1e-6
 
     def __post_init__(self):
+        for name in ("seq_len", "patch_size", "hidden_dim", "n_layers", "n_heads",
+                     "mlp_dim", "n_classes"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"config field {name!r} must be positive")
         if self.seq_len % self.patch_size != 0:
             raise ValueError(
                 f"seq_len {self.seq_len} not divisible by patch_size {self.patch_size}"
             )
-        if self.n_heads < 1:
-            raise ValueError("n_heads must be >= 1")
         if self.head_dim < 1:
             raise ValueError("hidden_dim too small for n_heads")
         if not (0.0 < self.survival_prob <= 1.0):
-            raise ValueError("survival_prob must be in (0, 1]")
+            raise ValueError("config field 'survival_prob' must be in (0, 1]")
 
     @property
     def n_patches(self) -> int:
@@ -58,7 +60,7 @@ class VitConfig:
 class ForwardArtifacts:
     logits: Tensor                      # [B, K]
     probs: Tensor                       # [B, K]
-    attention: list[np.ndarray] | None  # per layer, [B, H, N+1, N+1]
+    attention: np.ndarray | None        # final block, [B, H, N+1, N+1]
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -128,8 +130,7 @@ def mhsa(z: Tensor, params: dict[str, Tensor], prefix: str, config: VitConfig,
     out = ad.matmul(attn, v)                         # [B, H, T, Dh]
     out = ad.transpose(out, (0, 2, 1, 3)).reshape((b, t, h * dh))
     out = ad.matmul(out, params[prefix + "w_o"])
-    maps = attn.data.copy() if capture else None
-    return out, maps
+    return out, attn.data if capture else None
 
 
 def encoder_layer(z: Tensor, params: dict[str, Tensor], layer: int, config: VitConfig,
@@ -163,7 +164,8 @@ def encoder_layer(z: Tensor, params: dict[str, Tensor], layer: int, config: VitC
 def forward(x: np.ndarray | Tensor, params: dict[str, Tensor], config: VitConfig,
             training: bool = False, capture_attention: bool = False,
             rng: np.random.Generator | None = None) -> ForwardArtifacts:
-    """Full model pass over a batch of windows [B, seq_len]."""
+    """Full model pass over a batch of windows [B, seq_len]. With capture_attention,
+    the artifacts carry the final block's attention maps."""
     if not isinstance(x, Tensor):
         x = Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     if x.shape[-1] != config.seq_len:
@@ -172,18 +174,16 @@ def forward(x: np.ndarray | Tensor, params: dict[str, Tensor], config: VitConfig
         raise ValueError("training with stochastic depth requires an rng")
 
     z = embed_patches(x, params, config)
-    attention = [] if capture_attention else None
+    last = config.n_layers - 1
     for layer in range(config.n_layers):
         z, maps = encoder_layer(
             z, params, layer, config,
-            training=training, rng=rng, capture=capture_attention,
+            training=training, rng=rng, capture=capture_attention and layer == last,
         )
-        if capture_attention:
-            attention.append(maps)
     z0 = z[:, 0, :]                                  # [B, D]
     logits = ad.linear(z0, params["head.w"], params["head.b"])
     probs = ad.softmax(logits, axis=-1)
-    return ForwardArtifacts(logits=logits, probs=probs, attention=attention)
+    return ForwardArtifacts(logits=logits, probs=probs, attention=maps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import dataclasses
 import io
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from transecg import autodiff, cli
 
@@ -52,6 +56,15 @@ class TestConfig:
         assert cfg.max_epochs == 7 and isinstance(cfg.max_epochs, int)
         assert cfg.lr == 0.5
 
+    @pytest.mark.parametrize("item,field,kind", [
+        ("seed=abc", "seed", "int"), ("max_epochs=1.5", "max_epochs", "int"),
+        ("lr=fast", "lr", "float"),
+    ])
+    def test_bad_override_exits_naming_field_and_type(self, tmp_path, capsys, item, field, kind):
+        assert run("synth", tmp_path, extra=["--set", item]) == 1
+        err = capsys.readouterr().err
+        assert repr(field) in err and kind in err
+
     def test_config_file_plus_overrides(self, tmp_path):
         cfile = tmp_path / "cfg.json"
         cfile.write_text(json.dumps({"batch_size": 4, "task": "age"}))
@@ -62,6 +75,16 @@ class TestConfig:
         assert cfg.batch_size == 16  # --set wins over the file
         assert cfg.task == "age"
         assert cfg.seed == 3 and cfg.workdir == "w"
+
+
+@given(field=st.sampled_from(dataclasses.fields(cli.RunConfig)), text=st.text())
+def test_override_yields_field_type_or_names_field(field, text):
+    try:
+        cfg = cli._apply(cli.RunConfig(), {field.name: text}, coerce=True)
+    except ValueError as e:
+        assert repr(field.name) in str(e)
+    else:
+        assert type(getattr(cfg, field.name)) is type(field.default)
 
 
 class TestCommands:
@@ -172,3 +195,34 @@ class TestErrors:
         assert run("train", tmp_path) == 1
         err = capsys.readouterr().err
         assert "windows.bin" in err and "windows.json" in err
+
+    def test_explain_refuses_empty_test_split(self, pipeline, capsys):
+        fractions = ["train_frac=0.5", "val_frac=0.45", "test_frac=0.05"]
+        extra = [arg for item in fractions for arg in ("--set", item)]
+        assert run("explain", pipeline, extra=extra) == 1
+        assert "test split is empty" in capsys.readouterr().err
+
+    def test_bad_checkpoint_header_exits_naming_path(self, pipeline, tmp_path, capsys):
+        blob = (pipeline / "model.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        header = json.loads(blob[8:8 + hlen])
+        header["config"]["patch_size"] = 0
+        new = json.dumps(header, sort_keys=True).encode("utf-8")
+        bad = tmp_path / "zero_patch.ckpt"
+        bad.write_bytes(struct.pack("<Q", len(new)) + new + blob[8 + hlen:])
+        assert run("evaluate", pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "patch_size" in err
+
+    @pytest.mark.parametrize("field", ["seq_len", "windows", "subject_id", "source_offset"])
+    def test_store_index_missing_field_exits_naming_it(self, pipeline, tmp_path, capsys, field):
+        index = json.loads((pipeline / "windows.json").read_text())
+        if field in index:
+            del index[field]
+        else:
+            del index["windows"][3][field]
+        (tmp_path / "windows.json").write_text(json.dumps(index))
+        shutil.copy(pipeline / "windows.bin", tmp_path / "windows.bin")
+        assert run("train", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "windows.json" in err and repr(field) in err

@@ -1,9 +1,14 @@
 import json
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from transecg import explain, vit
+from transecg.autodiff import Tensor
 from transecg.delineation import BASE_INTERVALS, IntervalMap
 from transecg.vit import ForwardArtifacts
 
@@ -12,25 +17,25 @@ TINY = vit.VitConfig(seq_len=40, patch_size=10, hidden_dim=8, n_layers=2,
 
 
 def artifacts_with_attention(maps):
-    """Wrap hand-built per-layer attention into ForwardArtifacts."""
+    """Wrap hand-built final-block attention into ForwardArtifacts."""
     return ForwardArtifacts(logits=None, probs=None, attention=maps)
 
 
 class TestExtractImportance:
     def test_uniform_attention(self):
         t = 5  # class token + 4 patches
-        maps = [np.full((1, 2, t, t), 1.0 / t)]
-        imp = explain.extract_importance(artifacts_with_attention(maps))
-        assert np.allclose(imp.importance, 1.0 / t)
-        assert imp.per_head.shape == (2, 4)
+        maps = np.full((1, 2, t, t), 1.0 / t)
+        per_head = explain.extract_importance(artifacts_with_attention(maps))
+        assert np.allclose(per_head.mean(axis=1), 1.0 / t)
+        assert per_head.shape == (1, 2, 4)
 
     def test_bounds(self):
         params = vit.init_params(TINY, seed=0)
         x = np.random.default_rng(0).uniform(size=(1, TINY.seq_len))
         art = vit.forward(x, params, TINY, capture_attention=True)
-        imp = explain.extract_importance(art)
-        assert np.all(imp.importance >= 0)
-        assert imp.importance.sum() <= 1.0 + 1e-12
+        importance = explain.extract_importance(art)[0].mean(axis=0)
+        assert np.all(importance >= 0)
+        assert importance.sum() <= 1.0 + 1e-12
 
     def test_hand_built_two_heads(self):
         t = 7
@@ -38,10 +43,10 @@ class TestExtractImportance:
         maps[0, 0, 0, 4] = 1.0   # head 0 attends fully to patch 3
         maps[0, 1, 0, 6] = 1.0   # head 1 attends fully to patch 5
         maps[0, :, 1:, 0] = 1.0  # keep other rows stochastic
-        imp = explain.extract_importance(artifacts_with_attention([maps]))
+        importance = explain.extract_importance(artifacts_with_attention(maps))[0].mean(axis=0)
         expected = np.zeros(6)
         expected[3] = expected[5] = 0.5
-        assert np.array_equal(imp.importance, expected)
+        assert np.array_equal(importance, expected)
 
     def test_missing_attention_rejected(self):
         art = ForwardArtifacts(logits=None, probs=None, attention=None)
@@ -49,12 +54,14 @@ class TestExtractImportance:
             explain.extract_importance(art)
 
     def test_uses_final_block(self):
-        t = 4
-        first = np.full((1, 2, t, t), 1.0 / t)
-        last = np.zeros((1, 2, t, t))
-        last[0, :, 0, 1] = 1.0
-        imp = explain.extract_importance(artifacts_with_attention([first, last]))
-        assert imp.importance[0] == 1.0
+        params = vit.init_params(TINY, seed=0)
+        x = np.random.default_rng(2).uniform(size=(1, TINY.seq_len))
+        z = vit.embed_patches(Tensor(x), params, TINY)
+        for layer in range(TINY.n_layers):
+            z, maps = vit.encoder_layer(z, params, layer, TINY, capture=True)
+        art = vit.forward(x, params, TINY, capture_attention=True)
+        assert np.array_equal(art.attention, maps)
+        assert np.array_equal(explain.extract_importance(art), maps[:, :, 0, 1:])
 
     def test_invariant_to_head_weight_perturbation(self):
         params = vit.init_params(TINY, seed=0)
@@ -62,7 +69,7 @@ class TestExtractImportance:
         a = explain.extract_importance(vit.forward(x, params, TINY, capture_attention=True))
         params["head.w"].data += 10.0
         b = explain.extract_importance(vit.forward(x, params, TINY, capture_attention=True))
-        assert np.array_equal(a.importance, b.importance)
+        assert np.array_equal(a, b)
 
 
 class TestHeadWeights:
@@ -150,19 +157,63 @@ class TestAttribute:
 
     def test_aggregate_weighted_mean(self):
         reps = []
-        for qrs_pct, n in ((100.0, 1), (40.0, 1), (10.0, 1)):
+        for qrs_pct in (100.0, 40.0, 10.0):
             pct = {name: 0.0 for name in BASE_INTERVALS}
             pct["QRS"] = qrs_pct
             pct["T_WAVE"] = 100.0 - qrs_pct
             reps.append(explain.AttributionReport(
-                task="gender", percentages=pct, composites={}, top3=[], n_windows=n))
+                task="gender", percentages=pct, composites={}, top3=[]))
         agg = explain.aggregate(reps)
         assert agg.percentages["QRS"] == pytest.approx(50.0)
         assert agg.n_windows == 3
-        # count-weighting: duplicate one report and aggregate of aggregates agrees
-        reps[0].n_windows = 2
-        agg2 = explain.aggregate(reps)
-        assert agg2.percentages["QRS"] == pytest.approx((200 + 40 + 10) / 4)
+
+
+def overlap_masses(importance, interval_map, patch_size):
+    """Reference attribution: spread each patch's importance over intervals in
+    proportion to sample overlap, one beat and one patch at a time."""
+    p = patch_size
+    mass = {name: 0.0 for name in BASE_INTERVALS}
+    for beat in interval_map.beats:
+        for name in BASE_INTERVALS:
+            if name not in beat:
+                continue
+            lo, hi = beat[name]
+            first, last = lo // p, (hi - 1) // p
+            for i in range(max(0, first), min(importance.size - 1, last) + 1):
+                overlap = min(hi, (i + 1) * p) - max(lo, i * p)
+                if overlap > 0:
+                    mass[name] += importance[i] * overlap / p
+    return mass
+
+
+@st.composite
+def attribution_cases(draw):
+    n_patches = draw(st.integers(1, 8))
+    patch_size = draw(st.integers(1, 12))
+    seq_len = n_patches * patch_size
+    importance = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+        min_size=n_patches, max_size=n_patches)))
+    span = st.tuples(st.integers(0, seq_len), st.integers(0, seq_len)).map(sorted).map(tuple)
+    beats = draw(st.lists(
+        st.dictionaries(st.sampled_from(BASE_INTERVALS), span), min_size=1, max_size=3))
+    config = dataclasses.replace(TINY, seq_len=seq_len, patch_size=patch_size)
+    return importance, IntervalMap(beats=beats), config
+
+
+@given(attribution_cases())
+def test_attribute_matches_overlap_oracle(case):
+    importance, interval_map, config = case
+    mass = overlap_masses(importance, interval_map, config.patch_size)
+    total = sum(mass.values())
+    if total <= 0.0:
+        with pytest.raises(ValueError, match="unattributable"):
+            explain.attribute(importance, interval_map, config)
+        return
+    rep = explain.attribute(importance, interval_map, config)
+    for name in BASE_INTERVALS:
+        assert rep.percentages[name] == pytest.approx(100.0 * mass[name] / total,
+                                                      rel=1e-12, abs=0.0)
 
 
 class TestEmitReport:
@@ -174,7 +225,7 @@ class TestEmitReport:
         rep = explain.attribute(imp.mean(axis=0), interval_map, TINY)
         rep.head_weights = [1.0, 0.5]
         window = rng.uniform(size=TINY.seq_len)
-        paths = explain.emit_report(rep, imp, window, tmp_path, TINY)
+        paths = explain.emit_report(rep, imp, window, tmp_path)
         return rep, imp, paths
 
     def test_json_round_trip(self, emitted):
@@ -201,6 +252,6 @@ class TestEmitReport:
         rng = np.random.default_rng(0)
         rng.uniform(size=(TINY.n_heads, TINY.n_patches))  # advance past imp draw
         window = rng.uniform(size=TINY.seq_len)
-        paths2 = explain.emit_report(rep, imp, window, tmp_path / "again", TINY)
+        paths2 = explain.emit_report(rep, imp, window, tmp_path / "again")
         for key in paths:
             assert paths[key].read_bytes() == paths2[key].read_bytes()

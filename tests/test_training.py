@@ -174,6 +174,16 @@ class TestTrainLoop:
         best = report.epochs[report.best_epoch]["val_accuracy"]
         assert best == max(e["val_accuracy"] for e in report.epochs)
 
+    def test_non_finite_loss_names_batch_and_clears_tape(self):
+        x, y = separable_dataset(n_per_class=4)
+        x[:] = np.nan
+        plan = tr.SplitPlan(train=list(range(6)), val=[6, 7], test=[],
+                            split_mode="by_participant")
+        hp = tr.TrainHParams(batch_size=4, max_epochs=1)
+        with pytest.raises(FloatingPointError, match="epoch 0, batch 0"):
+            tr.train(x, y, plan, TINY, hp, seed=0)
+        assert not ad._TAPE
+
 
 class TestMetrics:
     def test_perfect_classifier(self):
