@@ -1,13 +1,16 @@
 """Dense float64 tensors with a define-by-run reverse-mode autodiff tape.
 
 Ops record onto a global tape in execution order (which is already a
-topological order); backward() walks the tape in reverse and accumulates
-gradients into leaves, then clears the tape.
+topological order); backward() pops the tape in reverse, accumulating
+gradients into each node's inputs and then dropping the node's closure, so
+a node's activations and gradient are freed as soon as its inputs hold
+their gradients.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import struct
 from typing import Callable, Iterable
@@ -50,9 +53,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
     def accumulate(self, g: np.ndarray) -> None:
+        # the first gradient is copied: g may be a view of, or the same array
+        # as, a gradient handed to another input of the same op
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def __getitem__(self, key):
         return index(self, key)
@@ -97,22 +103,33 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _clear_tape() -> None:
+    """Drop every recorded node and its closure."""
+    for node in _TAPE:
+        node._backward = None
+    _TAPE.clear()
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse-accumulate gradients of a scalar loss; clears the tape, also on error."""
-    global _TAPE
+    """Reverse-accumulate gradients of a scalar loss; empties the tape, also on error.
+
+    Each node leaves the tape when its closure has run, so intermediate
+    activations and gradients are freed during the walk. Gradients stay on
+    the tensors the caller still holds.
+    """
     try:
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
         if not np.all(np.isfinite(loss.data)):
             raise FloatingPointError("loss is not finite")
         loss.accumulate(np.ones_like(loss.data))
-        for node in reversed(_TAPE):
-            if node.grad is not None and node._backward is not None:
+        while _TAPE:
+            node = _TAPE.pop()
+            if node.grad is not None:
                 node._backward(node.grad)
-    finally:
-        for node in _TAPE:
             node._backward = None
-        _TAPE = []
+    finally:
+        _clear_tape()
 
 
 def zero_grad(params: Iterable[Tensor]) -> None:
@@ -178,6 +195,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    if b.data.ndim == 2:
+        return _matmul_rows(a, b)
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
@@ -185,6 +204,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
             b.accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+
+    return _record(out, (a, b), bwd)
+
+
+def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
+    """[..., K] @ [K, N] as one [M, K] @ [K, N] GEMM over the flattened rows."""
+    k, n = b.shape
+    a2 = a.data.reshape(-1, k)
+    out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (n,)))
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        if a.requires_grad:
+            a.accumulate((g2 @ b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            b.accumulate(a2.T @ g2)
 
     return _record(out, (a, b), bwd)
 
@@ -250,11 +285,8 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            if axis is None:
-                a.accumulate(np.broadcast_to(g, a.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                a.accumulate(np.broadcast_to(gg, a.shape).copy())
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+            a.accumulate(np.broadcast_to(gg, a.shape))
 
     return _record(out, (a,), bwd)
 
@@ -284,15 +316,18 @@ def clip_min(a: Tensor, floor: float) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
     def bwd(g):
         if a.requires_grad:
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            a.accumulate(y * (g - dot))
+            gy = g * y
+            dot = gy.sum(axis=axis, keepdims=True)
+            np.subtract(g, dot, out=gy)
+            gy *= y
+            a.accumulate(gy)
 
     return _record(out, (a,), bwd)
 
@@ -303,11 +338,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     d = x.shape[-1]
     if d < 2:
         raise ValueError("layer_norm needs a last axis of size >= 2")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(gamma.data * xhat + beta.data)
+    xhat *= inv
+    y = gamma.data * xhat
+    y += beta.data
+    out = Tensor(y)
 
     def bwd(g):
         if beta.requires_grad:
@@ -318,7 +355,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
             dxhat = g * gamma.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate(inv * (dxhat - m1 - xhat * m2))
+            dxhat -= m1
+            dxhat -= xhat * m2
+            dxhat *= inv
+            x.accumulate(dxhat)
 
     return _record(out, (x, gamma, beta), bwd)
 
@@ -408,7 +448,15 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def read_exact(f, n: int, where) -> bytes:
-    """Exactly n bytes from f; fewer means the container was cut short."""
+    """Exactly n bytes from the seekable stream f. Asking for more than is left
+    means the container was cut short or a length field is corrupt; that is
+    refused before any buffer is allocated."""
+    pos = f.tell()
+    left = f.seek(0, io.SEEK_END) - pos
+    f.seek(pos)
+    if n > left:
+        raise ValueError(f"{where}: truncated or corrupt parameter container "
+                         f"(a field asks for {n} bytes, {left} are left)")
     data = f.read(n)
     if len(data) != n:
         raise ValueError(f"{where}: truncated parameter container")

@@ -8,6 +8,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -104,7 +105,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as f:
             doc = json.load(f)
-        cfg = _apply(cfg, doc)
+        try:
+            cfg = _apply(cfg, doc)
+        except ValueError as e:
+            raise ValueError(f"{args.config}: {e}") from None
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
@@ -123,17 +127,23 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _apply(cfg: RunConfig, doc: dict, coerce: bool = False) -> RunConfig:
+    """Set config fields from `doc`, whose values must have each field's type
+    (an int passes for a float field and is kept as given; a bool passes for no
+    number). With coerce, string values are first converted to that type."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
     kinds = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
     updates = {}
     for key, value in doc.items():
         if key not in kinds:
             raise ValueError(f"unknown config field {key!r}")
+        kind = kinds[key]
+        accepted = (int, float) if kind is float else kind
         if coerce:
-            try:
-                value = kinds[key](value)
-            except ValueError:
-                raise ValueError(f"config field {key!r} expects {kinds[key].__name__}, "
-                                 f"got {value!r}") from None
+            with contextlib.suppress(ValueError):
+                value = kind(value)
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(f"config field {key!r} expects {kind.__name__}, got {doc[key]!r}")
         updates[key] = value
     return dataclasses.replace(cfg, **updates)
 
@@ -224,8 +234,15 @@ def load_store(
     index_path, bin_path = workdir / STORE_INDEX, workdir / STORE_BIN
     with open(index_path, encoding="utf-8") as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{index_path} must hold a JSON object")
     try:
         rows, seq_len = doc["windows"], doc["seq_len"]
+        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+            raise ValueError(f"{index_path}: field 'windows' must be a list of objects")
+        if isinstance(seq_len, bool) or not isinstance(seq_len, int) or seq_len < 1:
+            raise ValueError(f"{index_path}: field 'seq_len' must be a positive integer, "
+                             f"got {seq_len!r}")
         subject_ids = [row["subject_id"] for row in rows]
         offsets = [row["source_offset"] for row in rows]
     except KeyError as e:

@@ -172,12 +172,14 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
         correct = 0
         for batch_no, idx in enumerate(_batches(len(x_tr), hparams.batch_size, rng)):
             opt.zero_grad()
-            art = vit.forward(x_tr[idx], params, config, training=True, rng=rng)
-            loss = cross_entropy(art.probs, y_tr[idx])
             try:
+                art = vit.forward(x_tr[idx], params, config, training=True, rng=rng)
+                loss = cross_entropy(art.probs, y_tr[idx])
                 ad.backward(loss)
             except FloatingPointError as e:
                 raise FloatingPointError(f"{e} at epoch {epoch}, batch {batch_no}") from e
+            finally:
+                ad._clear_tape()  # backward empties it; forward or loss may have raised first
             opt.step()
             losses.append(float(loss.data))
             correct += int(np.sum(np.argmax(art.probs.data, axis=1) == y_tr[idx]))

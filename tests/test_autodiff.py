@@ -1,4 +1,6 @@
 import io
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +131,31 @@ class TestGradients:
                          rng.normal(size=n) + 1.0, rng.normal(size=n)])
 
 
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+@given(data=st.data())
+def test_matmul_with_2d_right_operand_matches_einsum(data):
+    rank = data.draw(st.integers(2, 4), label="rank")
+    lead = data.draw(st.lists(st.integers(1, 4), min_size=rank - 1, max_size=rank - 1))
+    k, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    a_transposed, b_transposed = data.draw(st.booleans()), data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a_shape = (*lead, k)
+    # a transposed view has the same shape but reversed strides
+    a = rng.normal(size=a_shape[::-1]).T if a_transposed else rng.normal(size=a_shape)
+    b = rng.normal(size=(n, k)).T if b_transposed else rng.normal(size=(k, n))
+    g = rng.normal(size=(*lead, n))
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    out = ad.matmul(ta, tb)
+    ad.backward(ad.tsum(ad.mul(out, Tensor(g))))
+    rows = "ijl"[:rank - 1]
+    assert _rel_err(out.data, np.einsum(f"{rows}k,kn->{rows}n", a, b)) <= 1e-12
+    assert _rel_err(ta.grad, np.einsum(f"{rows}n,kn->{rows}k", g, b)) <= 1e-12
+    assert _rel_err(tb.grad, np.einsum(f"{rows}k,{rows}n->kn", a, g)) <= 1e-12
+
+
 class TestBackwardSemantics:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -144,6 +171,34 @@ class TestBackwardSemantics:
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         ad.backward(ad.tsum(ad.add(x, x)))
         assert np.array_equal(x.grad, [2.0, 2.0])
+
+    def test_inputs_of_one_add_do_not_share_gradient_memory(self):
+        a = Tensor(np.ones(4), requires_grad=True)
+        b = Tensor(np.ones(4), requires_grad=True)
+        s = ad.add(a, b)
+        ad.backward(ad.tsum(ad.add(s, a)))  # a is consumed twice
+        assert np.array_equal(a.grad, np.full(4, 2.0))
+        assert np.array_equal(b.grad, np.ones(4))
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(s.grad, a.grad)
+
+    def test_backward_frees_each_node_once_used(self):
+        n = 2 ** 17
+        x = Tensor(np.ones(n), requires_grad=True)
+        y = x
+        for _ in range(20):
+            y = ad.scale(y, 1.0)
+        loss = ad.tsum(y)
+        del y
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # holding every node's gradient until the end would peak above 20 arrays
+        assert peak <= 5 * x.data.nbytes
+        assert np.array_equal(x.grad, np.ones(n))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)
@@ -254,6 +309,16 @@ class TestTruncation:
         # only a cut exactly between tensor records reads back, as that prefix
         assert cut in _BOUNDARIES
         assert list(loaded) == list(_TENSORS)[:len(loaded)]
+
+    # byte offsets in _BLOB of the first record's name length, rank and first dimension
+    @pytest.mark.parametrize("offset", [8, 17, 25], ids=["name_length", "rank", "dimension"])
+    def test_corrupt_length_field_refused_before_reading(self, tmp_path, offset):
+        blob = bytearray(_BLOB)
+        blob[offset:offset + 8] = struct.pack("<Q", 2**40)
+        path = tmp_path / "corrupt.bin"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="corrupt.bin"):
+            ad.load_tensors(path)
 
     def test_short_read_names_the_path(self, tmp_path):
         path = tmp_path / "cut.bin"

@@ -65,6 +65,32 @@ class TestConfig:
         err = capsys.readouterr().err
         assert repr(field) in err and kind in err
 
+    @pytest.mark.parametrize("doc,field,kind", [
+        ({"seed": "abc"}, "seed", "int"), ({"max_epochs": 1.5}, "max_epochs", "int"),
+        ({"batch_size": True}, "batch_size", "int"), ({"lr": "fast"}, "lr", "float"),
+        ({"lr": False}, "lr", "float"), ({"task": 1}, "task", "str"),
+        ({"seed": None}, "seed", "int"),
+    ], ids=["seed-str", "max_epochs-float", "batch_size-bool", "lr-str", "lr-bool",
+            "task-int", "seed-null"])
+    def test_bad_config_file_value_exits_naming_field_type_and_path(
+            self, tmp_path, capsys, doc, field, kind):
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps(doc))
+        assert run("synth", tmp_path, extra=["--config", str(cfile)]) == 1
+        err = capsys.readouterr().err
+        assert repr(field) in err and kind in err and str(cfile) in err
+
+    def test_config_file_int_kept_for_float_field(self):
+        cfg = cli._apply(cli.RunConfig(), {"lr": 1, "seed": 7, "task": "age"})
+        assert cfg.lr == 1 and type(cfg.lr) is int
+        assert cfg.seed == 7 and cfg.task == "age"
+
+    def test_config_file_must_be_an_object(self, tmp_path, capsys):
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text("[1, 2]")
+        assert run("synth", tmp_path, extra=["--config", str(cfile)]) == 1
+        assert str(cfile) in capsys.readouterr().err
+
     def test_config_file_plus_overrides(self, tmp_path):
         cfile = tmp_path / "cfg.json"
         cfile.write_text(json.dumps({"batch_size": 4, "task": "age"}))
@@ -214,10 +240,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert str(bad) in err and "patch_size" in err
 
-    @pytest.mark.parametrize("field", ["seq_len", "windows", "subject_id", "source_offset"])
-    def test_store_index_missing_field_exits_naming_it(self, pipeline, tmp_path, capsys, field):
+    @pytest.mark.parametrize("field,bad", [
+        pytest.param("seq_len", None, id="seq_len"),
+        pytest.param("windows", None, id="windows"),
+        pytest.param("subject_id", None, id="subject_id"),
+        pytest.param("source_offset", None, id="source_offset"),
+        # the float matches windows.bin's size, so only a type check catches it
+        pytest.param("seq_len", lambda index: float(index["seq_len"]), id="seq_len-float"),
+        pytest.param("windows", lambda index: list(range(len(index["windows"]))),
+                     id="windows-not-objects"),
+    ])
+    def test_store_index_missing_field_exits_naming_it(self, pipeline, tmp_path, capsys,
+                                                       field, bad):
+        """A missing field (bad is None) or one of the wrong type exits 1 naming it."""
         index = json.loads((pipeline / "windows.json").read_text())
-        if field in index:
+        if bad is not None:
+            index[field] = bad(index)
+        elif field in index:
             del index[field]
         else:
             del index["windows"][3][field]
@@ -226,3 +265,9 @@ class TestErrors:
         assert run("train", tmp_path) == 1
         err = capsys.readouterr().err
         assert "windows.json" in err and repr(field) in err
+
+    def test_store_index_not_an_object_exits_naming_it(self, pipeline, tmp_path, capsys):
+        (tmp_path / "windows.json").write_text("[]")
+        shutil.copy(pipeline / "windows.bin", tmp_path / "windows.bin")
+        assert run("train", tmp_path) == 1
+        assert "windows.json" in capsys.readouterr().err

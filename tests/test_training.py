@@ -184,6 +184,15 @@ class TestTrainLoop:
             tr.train(x, y, plan, TINY, hp, seed=0)
         assert not ad._TAPE
 
+    def test_failed_loss_leaves_no_tape(self):
+        x, y = separable_dataset(n_per_class=4)
+        plan = tr.SplitPlan(train=list(range(6)), val=[6, 7], test=[],
+                            split_mode="by_participant")
+        hp = tr.TrainHParams(batch_size=4, max_epochs=1)
+        with pytest.raises(ValueError, match="label out of range"):
+            tr.train(x, y + TINY.n_classes, plan, TINY, hp, seed=0)
+        assert not ad._TAPE
+
 
 class TestMetrics:
     def test_perfect_classifier(self):
