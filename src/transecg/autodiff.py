@@ -1,10 +1,12 @@
 """Dense float64 tensors with a define-by-run reverse-mode autodiff tape.
 
-Ops record onto a global tape in execution order (which is already a
-topological order); backward() pops the tape in reverse, accumulating
+Ops record onto a global tape only inside a `with recording():` block;
+outside one they just compute. The tape is in execution order, which is
+already a topological order. backward() pops it in reverse, accumulating
 gradients into each node's inputs and then dropping the node's closure, so
 a node's activations and gradient are freed as soon as its inputs hold
-their gradients.
+their gradients. Leaving the block drops whatever is still taped, also
+when the block raised, so no forward pass can leave nodes behind.
 """
 
 from __future__ import annotations
@@ -19,15 +21,15 @@ import numpy as np
 from scipy.special import erf
 
 __all__ = [
-    "Tensor", "backward", "no_grad", "zero_grad",
-    "add", "sub", "mul", "scale", "matmul", "transpose", "reshape", "concat",
+    "Tensor", "recording", "backward",
+    "add", "mul", "scale", "matmul", "transpose", "reshape", "concat",
     "index", "tsum", "tlog", "clip_min", "softmax", "layer_norm",
     "gelu", "linear", "AdamW",
     "save_tensors", "load_tensors", "read_exact",
 ]
 
 _TAPE: list["Tensor"] = []
-_GRAD_ENABLED = True
+_GRAD_ENABLED = False  # True inside recording()
 
 
 class Tensor:
@@ -70,19 +72,19 @@ class Tensor:
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable tape recording (inference mode)."""
+def recording():
+    """Tape the ops run in the block; on exit, also on error, drop what is left."""
     global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    if _GRAD_ENABLED:
+        raise RuntimeError("recording() blocks do not nest")
+    _GRAD_ENABLED = True
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+        _GRAD_ENABLED = False
+        for node in _TAPE:
+            node._backward = None
+        _TAPE.clear()
 
 
 def _record(out: Tensor, inputs: Iterable[Tensor], backward_fn) -> Tensor:
@@ -103,38 +105,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _clear_tape() -> None:
-    """Drop every recorded node and its closure."""
-    for node in _TAPE:
-        node._backward = None
-    _TAPE.clear()
-
-
 def backward(loss: Tensor) -> None:
-    """Reverse-accumulate gradients of a scalar loss; empties the tape, also on error.
+    """Reverse-accumulate gradients of a scalar loss recorded in the current
+    recording() block.
 
     Each node leaves the tape when its closure has run, so intermediate
     activations and gradients are freed during the walk. Gradients stay on
     the tensors the caller still holds.
     """
-    try:
-        if loss.size != 1:
-            raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-        if not np.all(np.isfinite(loss.data)):
-            raise FloatingPointError("loss is not finite")
-        loss.accumulate(np.ones_like(loss.data))
-        while _TAPE:
-            node = _TAPE.pop()
-            if node.grad is not None:
-                node._backward(node.grad)
-            node._backward = None
-    finally:
-        _clear_tape()
-
-
-def zero_grad(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
+    if not (_GRAD_ENABLED and loss.requires_grad):
+        raise ValueError("backward needs a loss built inside the current "
+                         "`with recording():` block")
+    if loss.size != 1:
+        raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if not np.all(np.isfinite(loss.data)):
+        raise FloatingPointError("loss is not finite")
+    loss.accumulate(np.ones_like(loss.data))
+    while _TAPE:
+        node = _TAPE.pop()
+        if node.grad is not None:
+            node._backward(node.grad)
+        node._backward = None
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +133,6 @@ def zero_grad(params: Iterable[Tensor]) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
 
     def bwd(g):
@@ -154,21 +144,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g, b.shape))
-
-    return _record(out, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data)
 
     def bwd(g):
@@ -181,7 +157,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(a.data * c)
 
     def bwd(g):
@@ -192,7 +167,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     if b.data.ndim == 2:
@@ -225,7 +199,6 @@ def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    a = _as_tensor(a)
     if axes is None:
         axes = tuple(range(a.data.ndim - 2)) + (a.data.ndim - 1, a.data.ndim - 2)
     out = Tensor(np.transpose(a.data, axes))
@@ -239,7 +212,6 @@ def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape))
 
     def bwd(g):
@@ -250,7 +222,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -267,7 +238,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 def index(a: Tensor, key) -> Tensor:
     """Basic slicing/indexing; backward scatter-adds into the source shape."""
-    a = _as_tensor(a)
     out = Tensor(a.data[key])
 
     def bwd(g):
@@ -280,7 +250,6 @@ def index(a: Tensor, key) -> Tensor:
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bwd(g):
@@ -292,7 +261,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tlog(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(np.log(a.data))
 
     def bwd(g):
@@ -304,7 +272,6 @@ def tlog(a: Tensor) -> Tensor:
 
 def clip_min(a: Tensor, floor: float) -> Tensor:
     """Lower clamp; gradient passes only where the input exceeds the floor."""
-    a = _as_tensor(a)
     out = Tensor(np.maximum(a.data, floor))
 
     def bwd(g):
@@ -315,7 +282,6 @@ def clip_min(a: Tensor, floor: float) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
     y = a.data - a.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
@@ -334,7 +300,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
     """Standardize over the last axis, then affine transform."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     d = x.shape[-1]
     if d < 2:
         raise ValueError("layer_norm needs a last axis of size >= 2")
@@ -365,7 +330,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
-    x = _as_tensor(x)
     phi = 0.5 * (1.0 + erf(x.data / np.sqrt(2.0)))
     out = Tensor(x.data * phi)
 
@@ -420,7 +384,8 @@ class AdamW:
             p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
     def zero_grad(self) -> None:
-        zero_grad(self.params.values())
+        for p in self.params.values():
+            p.grad = None
 
 
 # ---------------------------------------------------------------------------

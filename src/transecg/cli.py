@@ -69,9 +69,11 @@ class RunConfig:
 
     def validate(self) -> None:
         self.vit_config(2)
-        for name in ("fs_target", "synth_subjects"):
+        for name in ("fs_target", "synth_subjects", "explain_windows"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name!r} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"config field 'seed' must be non-negative, got {self.seed}")
         fractions = ("train_frac", "val_frac", "test_frac")
         for name in fractions:
             if not (0 < getattr(self, name) < 1):
@@ -247,6 +249,13 @@ def load_store(
         offsets = [row["source_offset"] for row in rows]
     except KeyError as e:
         raise ValueError(f"{index_path} has no field {e.args[0]!r}") from None
+    for i, (sid, offset) in enumerate(zip(subject_ids, offsets)):
+        if not isinstance(sid, str):
+            raise ValueError(f"{index_path}: window {i} field 'subject_id' must be a "
+                             f"string, got {sid!r}")
+        if isinstance(offset, bool) or not isinstance(offset, int):
+            raise ValueError(f"{index_path}: window {i} field 'source_offset' must be an "
+                             f"integer, got {offset!r}")
     size = bin_path.stat().st_size
     if size != len(rows) * seq_len * 8:
         raise ValueError(f"{bin_path} holds {size} bytes, but {index_path} lists "
@@ -376,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
             "evaluate": cmd_evaluate,
             "explain": cmd_explain,
         }[args.command](cfg)
-    except (ValueError, FileNotFoundError, FloatingPointError) as e:
+    except (ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     print(summary)

@@ -46,29 +46,39 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    if "records" not in doc:
-        raise ValueError(f"{path}: manifest missing 'records' array")
+    records = doc.get("records") if isinstance(doc, dict) else None
+    if not (isinstance(records, list) and all(isinstance(row, dict) for row in records)):
+        raise ValueError(f"{path}: manifest field 'records' must be a list of objects")
     entries = []
     seen = set()
-    for i, row in enumerate(doc["records"]):
-        try:
-            sid = str(row["subject_id"])
-            csv = path.parent / row["csv"]
-            fs = float(row["fs"])
-        except KeyError as e:
-            raise ValueError(f"{path}: record {i} missing field {e}") from e
+    for i, row in enumerate(records):
+        sid = _manifest_field(path, i, row, "subject_id", str)
+        csv = path.parent / _manifest_field(path, i, row, "csv", str)
+        fs = _manifest_field(path, i, row, "fs", float)
         if sid in seen:
             raise ValueError(f"{path}: duplicate subject_id {sid!r}")
         seen.add(sid)
         if not csv.exists():
             raise FileNotFoundError(f"{path}: record {i} references missing file {csv}")
         age = row.get("age_years")
+        if age is not None:
+            age = _manifest_field(path, i, row, "age_years", int)
         entries.append(ManifestEntry(
             subject_id=sid, csv_path=csv, fs=fs,
-            gender=row.get("gender"),
-            age_years=int(age) if age is not None else None,
+            gender=row.get("gender"), age_years=age,
         ))
     return DatasetManifest(dataset=str(doc.get("dataset", path.stem)), entries=entries)
+
+
+def _manifest_field(path: Path, i: int, row: dict, name: str, kind: type):
+    """row[name] converted to kind; failures name the manifest, the record and the field."""
+    if name not in row:
+        raise ValueError(f"{path}: record {i} missing field {name!r}")
+    try:
+        return kind(row[name])
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: record {i} field {name!r} must be {kind.__name__}, "
+                         f"got {row[name]!r}") from None
 
 
 def load_record(entry: ManifestEntry) -> EcgRecord:
@@ -87,13 +97,16 @@ def load_record(entry: ManifestEntry) -> EcgRecord:
                 raise ValueError(
                     f"{entry.csv_path}: non-numeric sample {tok!r} at line {lineno}"
                 ) from e
-    return EcgRecord(
-        subject_id=entry.subject_id,
-        samples=np.array(values, dtype=np.float64),
-        fs=entry.fs,
-        gender_label=entry.gender,
-        age_years=entry.age_years,
-    )
+    try:
+        return EcgRecord(
+            subject_id=entry.subject_id,
+            samples=np.array(values, dtype=np.float64),
+            fs=entry.fs,
+            gender_label=entry.gender,
+            age_years=entry.age_years,
+        )
+    except ValueError as e:
+        raise ValueError(f"{entry.csv_path}: {e}") from None
 
 
 def save_record_csv(path: str | Path, samples: np.ndarray) -> None:

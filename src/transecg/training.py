@@ -138,10 +138,8 @@ def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def predict_probs(params, config, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
     """Inference-mode class probabilities for an array of windows."""
-    outs = []
-    with ad.no_grad():
-        for lo in range(0, x.shape[0], batch_size):
-            outs.append(vit.forward(x[lo:lo + batch_size], params, config).probs.data)
+    outs = [vit.forward(x[lo:lo + batch_size], params, config).probs.data
+            for lo in range(0, x.shape[0], batch_size)]
     return np.concatenate(outs, axis=0)
 
 
@@ -173,20 +171,18 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
         for batch_no, idx in enumerate(_batches(len(x_tr), hparams.batch_size, rng)):
             opt.zero_grad()
             try:
-                art = vit.forward(x_tr[idx], params, config, training=True, rng=rng)
-                loss = cross_entropy(art.probs, y_tr[idx])
-                ad.backward(loss)
+                with ad.recording():
+                    art = vit.forward(x_tr[idx], params, config, training=True, rng=rng)
+                    loss = cross_entropy(art.probs, y_tr[idx])
+                    ad.backward(loss)
             except FloatingPointError as e:
                 raise FloatingPointError(f"{e} at epoch {epoch}, batch {batch_no}") from e
-            finally:
-                ad._clear_tape()  # backward empties it; forward or loss may have raised first
             opt.step()
             losses.append(float(loss.data))
             correct += int(np.sum(np.argmax(art.probs.data, axis=1) == y_tr[idx]))
 
         val_probs = predict_probs(params, config, x_val)
-        with ad.no_grad():
-            val_loss = float(cross_entropy(Tensor(val_probs), y_val).data)
+        val_loss = float(cross_entropy(Tensor(val_probs), y_val).data)
         val_acc = _accuracy(val_probs, y_val)
         epochs.append({
             "epoch": epoch,

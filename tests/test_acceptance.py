@@ -40,11 +40,11 @@ def test_01_gradient_oracle():
     def check(build, arrays):
         nonlocal worst_op
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
-        ad.backward(ad.tsum(build(tensors)))
+        with ad.recording():
+            ad.backward(ad.tsum(build(tensors)))
 
         def scalar(arrs):
-            with ad.no_grad():
-                return float(ad.tsum(build([Tensor(a) for a in arrs])).data)
+            return float(ad.tsum(build([Tensor(a) for a in arrs])).data)
 
         for i, t in enumerate(tensors):
             worst_op = max(worst_op, rel_error(t.grad, fd_gradient(scalar, arrays, i)))
@@ -63,8 +63,8 @@ def test_01_gradient_oracle():
     params = vit.init_params(TINY, seed=0)
     x = rng.uniform(size=(2, TINY.seq_len))
     y = np.array([0, 2])
-    art = vit.forward(x, params, TINY)
-    ad.backward(cross_entropy(art.probs, y))
+    with ad.recording():
+        ad.backward(cross_entropy(vit.forward(x, params, TINY).probs, y))
     worst_model = 0.0
     for key in ("embed.E", "layers.0.w_q", "layers.1.ffn.w1", "head.w"):
         param = params[key]
@@ -72,8 +72,7 @@ def test_01_gradient_oracle():
 
         def scalar(arrs):
             param.data = arrs[0]
-            with ad.no_grad():
-                val = float(cross_entropy(vit.forward(x, params, TINY).probs, y).data)
+            val = float(cross_entropy(vit.forward(x, params, TINY).probs, y).data)
             param.data = arr
             return val
 

@@ -15,13 +15,11 @@ from transecg.autodiff import AdamW, Tensor
 def check_op(build, arrays, rtol=1e-4, eps=1e-6):
     """Compare autodiff grads of sum(build(tensors)) against finite differences."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    out = build(tensors)
-    loss = ad.tsum(out)
-    ad.backward(loss)
+    with ad.recording():
+        ad.backward(ad.tsum(build(tensors)))
 
     def scalar(arrs):
-        with ad.no_grad():
-            return float(ad.tsum(build([Tensor(a) for a in arrs])).data)
+        return float(ad.tsum(build([Tensor(a) for a in arrs])).data)
 
     for i, t in enumerate(tensors):
         numeric = fd_gradient(scalar, arrays, i, eps=eps)
@@ -103,7 +101,7 @@ class TestGradients:
                  [self.rng.normal(size=(4, 3)), self.rng.normal(size=3)])
 
     def test_mul_sub_scale(self):
-        check_op(lambda t: ad.scale(ad.mul(ad.sub(t[0], t[1]), t[0]), 2.5),
+        check_op(lambda t: ad.scale(ad.mul(ad.add(t[0], ad.scale(t[1], -1.0)), t[0]), 2.5),
                  [self.rng.normal(size=(3, 3)), self.rng.normal(size=(3, 3))])
 
     def test_transpose_reshape_concat_slice(self):
@@ -148,8 +146,9 @@ def test_matmul_with_2d_right_operand_matches_einsum(data):
     b = rng.normal(size=(n, k)).T if b_transposed else rng.normal(size=(k, n))
     g = rng.normal(size=(*lead, n))
     ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-    out = ad.matmul(ta, tb)
-    ad.backward(ad.tsum(ad.mul(out, Tensor(g))))
+    with ad.recording():
+        out = ad.matmul(ta, tb)
+        ad.backward(ad.tsum(ad.mul(out, Tensor(g))))
     rows = "ijl"[:rank - 1]
     assert _rel_err(out.data, np.einsum(f"{rows}k,kn->{rows}n", a, b)) <= 1e-12
     assert _rel_err(ta.grad, np.einsum(f"{rows}n,kn->{rows}k", g, b)) <= 1e-12
@@ -159,24 +158,28 @@ def test_matmul_with_2d_right_operand_matches_einsum(data):
 class TestBackwardSemantics:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        ad.backward(ad.tsum(x))
+        with ad.recording():
+            ad.backward(ad.tsum(x))
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_quadratic(self):
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-        ad.backward(ad.tsum(ad.mul(x, x)))
+        with ad.recording():
+            ad.backward(ad.tsum(ad.mul(x, x)))
         assert np.allclose(x.grad, 2 * x.data)
 
     def test_reuse_accumulates(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        ad.backward(ad.tsum(ad.add(x, x)))
+        with ad.recording():
+            ad.backward(ad.tsum(ad.add(x, x)))
         assert np.array_equal(x.grad, [2.0, 2.0])
 
     def test_inputs_of_one_add_do_not_share_gradient_memory(self):
         a = Tensor(np.ones(4), requires_grad=True)
         b = Tensor(np.ones(4), requires_grad=True)
-        s = ad.add(a, b)
-        ad.backward(ad.tsum(ad.add(s, a)))  # a is consumed twice
+        with ad.recording():
+            s = ad.add(a, b)
+            ad.backward(ad.tsum(ad.add(s, a)))  # a is consumed twice
         assert np.array_equal(a.grad, np.full(4, 2.0))
         assert np.array_equal(b.grad, np.ones(4))
         assert not np.shares_memory(a.grad, b.grad)
@@ -185,37 +188,74 @@ class TestBackwardSemantics:
     def test_backward_frees_each_node_once_used(self):
         n = 2 ** 17
         x = Tensor(np.ones(n), requires_grad=True)
-        y = x
-        for _ in range(20):
-            y = ad.scale(y, 1.0)
-        loss = ad.tsum(y)
-        del y
-        tracemalloc.start()
-        try:
-            ad.backward(loss)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with ad.recording():
+            y = x
+            for _ in range(20):
+                y = ad.scale(y, 1.0)
+            loss = ad.tsum(y)
+            del y
+            tracemalloc.start()
+            try:
+                ad.backward(loss)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         # holding every node's gradient until the end would peak above 20 arrays
         assert peak <= 5 * x.data.nbytes
         assert np.array_equal(x.grad, np.ones(n))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)
-        with pytest.raises(ValueError):
+        with ad.recording(), pytest.raises(ValueError):
             ad.backward(ad.add(x, x))
 
     def test_tape_cleared_after_backward(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        ad.backward(ad.tsum(ad.mul(x, x)))
-        assert ad._TAPE == []
+        with ad.recording():
+            ad.backward(ad.tsum(ad.mul(x, x)))
+            assert ad._TAPE == []
 
     def test_no_grad_blocks_recording(self):
+        # outside recording() nothing is taped
         x = Tensor(np.ones(3), requires_grad=True)
-        with ad.no_grad():
-            out = ad.mul(x, x)
+        out = ad.mul(x, x)
         assert not out.requires_grad
         assert ad._TAPE == []
+
+    def test_backward_outside_recording_rejected(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = ad.tsum(ad.mul(x, x))
+        with pytest.raises(ValueError, match="recording"):
+            ad.backward(loss)
+        assert x.grad is None
+
+    def test_backward_after_recording_exited_rejected(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with ad.recording():
+            loss = ad.tsum(ad.mul(x, x))
+        with pytest.raises(ValueError, match="recording"):
+            ad.backward(loss)
+        assert x.grad is None
+
+    def test_error_in_recording_drops_tape(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ValueError, match="matmul shape mismatch"):
+            with ad.recording():
+                h = ad.mul(x, x)
+                ad.matmul(h, x)  # 1D operands raise after one node is taped
+        assert ad._TAPE == []
+        assert h._backward is None
+        out = ad.mul(x, x)
+        assert not out.requires_grad
+        assert ad._TAPE == []
+
+    def test_recording_does_not_nest(self):
+        with ad.recording():
+            with pytest.raises(RuntimeError, match="nest"):
+                with ad.recording():
+                    pass
+            assert ad._GRAD_ENABLED
+        assert not ad._GRAD_ENABLED
 
 
 class TestAdamW:

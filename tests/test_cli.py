@@ -170,6 +170,45 @@ class TestErrors:
         assert code == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_config_naming_a_directory_exits_naming_it(self, tmp_path, capsys):
+        assert run("synth", tmp_path, extra=["--config", str(tmp_path)]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_negative_seed_exits_naming_field(self, tmp_path, capsys):
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps({"seed": -1}))
+        # not through run(): its --seed would override the file's seed
+        assert cli.main(["synth", "--workdir", str(tmp_path), "--config", str(cfile)]) == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("records,field", [
+        ({"S1": {"subject_id": "S1", "csv": "s1.csv", "fs": 250.0}}, "records"),
+        ([["S1", "s1.csv", 250.0]], "records"),
+        ([{"subject_id": "S1", "csv": "s1.csv", "fs": "abc"}], "fs"),
+        ([{"subject_id": "S1", "csv": "s1.csv", "fs": 250.0, "age_years": "x"}], "age_years"),
+    ], ids=["records-object", "row-not-object", "fs-str", "age_years-str"])
+    def test_bad_manifest_exits_naming_manifest_and_field(self, tmp_path, capsys,
+                                                          records, field):
+        (tmp_path / "s1.csv").write_text("amplitude\n0.0\n1.0\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"records": records}))
+        assert run("preprocess", tmp_path, extra=["--set", f"manifest={manifest}"]) == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err and repr(field) in err
+        if field != "records":
+            assert "record 0" in err
+
+    def test_non_finite_csv_exits_naming_it(self, tmp_path, capsys):
+        csv = tmp_path / "s1.csv"
+        csv.write_text("amplitude\n0.0\nnan\n1.0\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"records": [
+            {"subject_id": "S1", "csv": "s1.csv", "fs": 250.0}]}))
+        assert run("preprocess", tmp_path, extra=["--set", f"manifest={manifest}"]) == 1
+        err = capsys.readouterr().err
+        assert str(csv) in err and "finite" in err
+
     def test_malformed_set_rejected(self, tmp_path, capsys):
         code = cli.main(["synth", "--workdir", str(tmp_path), "--set", "oops"])
         assert code == 1
@@ -187,6 +226,7 @@ class TestErrors:
         (["train_frac=0.5"], "train_frac"),
         (["test_frac=0", "train_frac=0.85"], "test_frac"),
         (["val_frac=1.5"], "val_frac"),
+        (["explain_windows=0"], "explain_windows"),
     ])
     def test_bad_config_exits_naming_field(self, tmp_path, capsys, overrides, field):
         extra = [arg for item in overrides for arg in ("--set", item)]
@@ -265,6 +305,20 @@ class TestErrors:
         assert run("train", tmp_path) == 1
         err = capsys.readouterr().err
         assert "windows.json" in err and repr(field) in err
+
+    @pytest.mark.parametrize("task", ["gender", "id"])
+    @pytest.mark.parametrize("field,value", [
+        ("subject_id", 7), ("source_offset", "0"), ("source_offset", True),
+    ], ids=["subject_id-int", "source_offset-str", "source_offset-bool"])
+    def test_store_row_of_wrong_type_exits_naming_row_and_field(
+            self, pipeline, tmp_path, capsys, task, field, value):
+        index = json.loads((pipeline / "windows.json").read_text())
+        index["windows"][3][field] = value
+        (tmp_path / "windows.json").write_text(json.dumps(index))
+        shutil.copy(pipeline / "windows.bin", tmp_path / "windows.bin")
+        assert run("train", tmp_path, extra=["--task", task]) == 1
+        err = capsys.readouterr().err
+        assert "windows.json" in err and "window 3" in err and repr(field) in err
 
     def test_store_index_not_an_object_exits_naming_it(self, pipeline, tmp_path, capsys):
         (tmp_path / "windows.json").write_text("[]")

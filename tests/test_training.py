@@ -55,12 +55,11 @@ class TestCrossEntropy:
         logits_arr = rng.normal(size=(4, 3))
         y = np.array([0, 2, 1, 1])
         logits = Tensor(logits_arr, requires_grad=True)
-        loss = tr.cross_entropy(ad.softmax(logits, axis=-1), y)
-        ad.backward(loss)
+        with ad.recording():
+            ad.backward(tr.cross_entropy(ad.softmax(logits, axis=-1), y))
 
         def scalar(arrs):
-            with ad.no_grad():
-                return float(tr.cross_entropy(ad.softmax(Tensor(arrs[0]), axis=-1), y).data)
+            return float(tr.cross_entropy(ad.softmax(Tensor(arrs[0]), axis=-1), y).data)
 
         numeric = fd_gradient(scalar, [logits_arr], 0)
         assert rel_error(logits.grad, numeric) < 1e-5
@@ -70,8 +69,9 @@ class TestCrossEntropy:
         logits_arr = rng.normal(size=(6, 4))
         y = rng.integers(0, 4, size=6)
         logits = Tensor(logits_arr, requires_grad=True)
-        probs = ad.softmax(logits, axis=-1)
-        ad.backward(tr.cross_entropy(probs, y))
+        with ad.recording():
+            probs = ad.softmax(logits, axis=-1)
+            ad.backward(tr.cross_entropy(probs, y))
         onehot = np.zeros((6, 4))
         onehot[np.arange(6), y] = 1.0
         expected = (probs.data - onehot) / 6

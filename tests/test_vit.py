@@ -186,9 +186,9 @@ class TestForward:
     def test_full_model_gradient_check(self, tiny_params):
         x = tiny_batch(2, seed=5)
         y = np.array([0, 2])
-        art = vit.forward(x, tiny_params, TINY, training=True)
-        loss = cross_entropy(art.probs, y)
-        ad.backward(loss)
+        with ad.recording():
+            art = vit.forward(x, tiny_params, TINY, training=True)
+            ad.backward(cross_entropy(art.probs, y))
 
         check_keys = ["embed.E", "embed.E_pos", "embed.cls", "layers.0.w_q",
                       "layers.1.w_o", "layers.0.ln1.gamma", "layers.1.ffn.w1",
@@ -199,9 +199,8 @@ class TestForward:
 
             def scalar(arrs):
                 param.data = arrs[0]
-                with ad.no_grad():
-                    out = vit.forward(x, tiny_params, TINY, training=True)
-                    val = float(cross_entropy(out.probs, y).data)
+                out = vit.forward(x, tiny_params, TINY, training=True)
+                val = float(cross_entropy(out.probs, y).data)
                 param.data = arr
                 return val
 
@@ -245,9 +244,9 @@ class TestCheckpoint:
         vit.save_checkpoint(path, tiny_params, TINY, {})
         params, cfg, _, _ = vit.load_checkpoint(path)
         assert not any(p.requires_grad for p in params.values())
-        taped = len(ad._TAPE)
-        vit.forward(tiny_batch(1), params, cfg, capture_attention=True)
-        assert len(ad._TAPE) == taped
+        with ad.recording():
+            vit.forward(tiny_batch(1), params, cfg, capture_attention=True)
+            assert len(ad._TAPE) == 0
 
     def test_params_checked_against_config(self, tiny_params, tmp_path):
         path = tmp_path / "model.ckpt"
