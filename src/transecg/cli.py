@@ -8,8 +8,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -22,6 +20,8 @@ from .data_io import SyntheticEcgSpec, Task, WaveParams
 
 STORE_BIN = "windows.bin"
 STORE_INDEX = "windows.json"
+# what the checkpoint records of the run, so that evaluate and explain rebuild its split
+SPLIT_FIELDS = ("seed", "task", "train_frac", "val_frac", "test_frac")
 
 
 @dataclass
@@ -69,6 +69,7 @@ class RunConfig:
 
     def validate(self) -> None:
         self.vit_config(2)
+        signal_core.FilterSpec(self.low_hz, self.high_hz, self.filter_order, fs=float("inf"))
         for name in ("fs_target", "synth_subjects", "explain_windows"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name!r} must be positive")
@@ -108,7 +109,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         with open(args.config, encoding="utf-8") as f:
             doc = json.load(f)
         try:
-            cfg = _apply(cfg, doc)
+            cfg = data_io.json_dataclass(cfg, doc, "config")
         except ValueError as e:
             raise ValueError(f"{args.config}: {e}") from None
     overrides = {}
@@ -117,7 +118,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key] = value
-    cfg = _apply(cfg, overrides, coerce=True)
+    cfg = data_io.json_dataclass(cfg, overrides, "config", coerce=True)
     if args.workdir:
         cfg.workdir = args.workdir
     if args.seed is not None:
@@ -126,28 +127,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         cfg.task = args.task
     cfg.validate()
     return cfg
-
-
-def _apply(cfg: RunConfig, doc: dict, coerce: bool = False) -> RunConfig:
-    """Set config fields from `doc`, whose values must have each field's type
-    (an int passes for a float field and is kept as given; a bool passes for no
-    number). With coerce, string values are first converted to that type."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
-    updates = {}
-    for key, value in doc.items():
-        if key not in kinds:
-            raise ValueError(f"unknown config field {key!r}")
-        kind = kinds[key]
-        accepted = (int, float) if kind is float else kind
-        if coerce:
-            with contextlib.suppress(ValueError):
-                value = kind(value)
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ValueError(f"config field {key!r} expects {kind.__name__}, got {doc[key]!r}")
-        updates[key] = value
-    return dataclasses.replace(cfg, **updates)
 
 
 def _json_dump(path: Path, doc) -> None:
@@ -199,13 +178,14 @@ def cmd_preprocess(cfg: RunConfig) -> str:
     """Filter, resample, window and normalize every record into the window store."""
     workdir = Path(cfg.workdir)
     manifest_path = Path(cfg.manifest) if cfg.manifest else workdir / "data" / "manifest.json"
-    manifest = data_io.load_manifest(manifest_path)
-
     windows = []
     index = []
-    for entry in manifest.entries:
+    for i, entry in enumerate(data_io.load_manifest(manifest_path)):
+        try:
+            spec = signal_core.FilterSpec(cfg.low_hz, cfg.high_hz, cfg.filter_order, entry.fs)
+        except ValueError as e:
+            raise ValueError(f"{manifest_path}: record {i} field 'fs': {e}") from None
         record = data_io.load_record(entry)
-        spec = signal_core.FilterSpec(cfg.low_hz, cfg.high_hz, cfg.filter_order, record.fs)
         for w in signal_core.preprocess_record(
             record, spec=spec, fs_target=cfg.fs_target,
             median_kernel=cfg.median_kernel, seq_len=cfg.seq_len,
@@ -235,27 +215,20 @@ def load_store(
     workdir = Path(cfg.workdir)
     index_path, bin_path = workdir / STORE_INDEX, workdir / STORE_BIN
     with open(index_path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{index_path} must hold a JSON object")
-    try:
-        rows, seq_len = doc["windows"], doc["seq_len"]
-        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
-            raise ValueError(f"{index_path}: field 'windows' must be a list of objects")
-        if isinstance(seq_len, bool) or not isinstance(seq_len, int) or seq_len < 1:
-            raise ValueError(f"{index_path}: field 'seq_len' must be a positive integer, "
-                             f"got {seq_len!r}")
-        subject_ids = [row["subject_id"] for row in rows]
-        offsets = [row["source_offset"] for row in rows]
-    except KeyError as e:
-        raise ValueError(f"{index_path} has no field {e.args[0]!r}") from None
-    for i, (sid, offset) in enumerate(zip(subject_ids, offsets)):
-        if not isinstance(sid, str):
-            raise ValueError(f"{index_path}: window {i} field 'subject_id' must be a "
-                             f"string, got {sid!r}")
-        if isinstance(offset, bool) or not isinstance(offset, int):
-            raise ValueError(f"{index_path}: window {i} field 'source_offset' must be an "
-                             f"integer, got {offset!r}")
+        doc = data_io.json_value(json.load(f), dict, str(index_path))
+    rows = data_io.json_field(doc, "windows", list, str(index_path))
+    seq_len = data_io.json_field(doc, "seq_len", int, str(index_path))
+    if seq_len < 1:
+        raise ValueError(f"{index_path}: field 'seq_len' must be positive, got {seq_len}")
+    for i, row in enumerate(rows):
+        data_io.json_value(row, dict, f"{index_path} field 'windows' item {i}")
+        where = f"{index_path}: window {i}"
+        data_io.json_field(row, "subject_id", str, where)
+        data_io.json_field(row, "source_offset", int, where)
+        data_io.json_field(row, "gender", str, where, optional=True)
+        data_io.json_field(row, "age_years", int, where, optional=True)
+    subject_ids = [row["subject_id"] for row in rows]
+    offsets = [row["source_offset"] for row in rows]
     size = bin_path.stat().st_size
     if size != len(rows) * seq_len * 8:
         raise ValueError(f"{bin_path} holds {size} bytes, but {index_path} lists "
@@ -279,16 +252,20 @@ def _checkpoint(cfg: RunConfig) -> Path:
 
 def _load_model(cfg: RunConfig) -> tuple[dict, vit.VitConfig]:
     """Load the checkpoint for inference. The split is rebuilt from the config's
-    seed and task, so refuse a checkpoint trained with another seed or task."""
+    seed, task and fractions, so refuse a checkpoint trained with other ones."""
     ckpt = _checkpoint(cfg)
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     params, config, _, meta = vit.load_checkpoint(ckpt)
-    for name in ("seed", "task"):
-        if meta.get(name) != getattr(cfg, name):
+    for name in SPLIT_FIELDS:
+        if name not in meta:
+            raise ValueError(f"{ckpt} does not record the {name} it was trained with; "
+                             f"retrain it")
+        if meta[name] != getattr(cfg, name):
             raise ValueError(
-                f"{ckpt} was trained with {name} {meta.get(name)!r}, but the config's "
-                f"{name} is {getattr(cfg, name)!r}; use the checkpoint's seed and task"
+                f"{ckpt} was trained with {name} {meta[name]!r}, but the config's "
+                f"{name} is {getattr(cfg, name)!r}; use the checkpoint's seed, task "
+                f"and split fractions"
             )
     return params, config
 
@@ -306,7 +283,7 @@ def cmd_train(cfg: RunConfig) -> str:
 
     ckpt = _checkpoint(cfg)
     vit.save_checkpoint(ckpt, best, config, vocab,
-                        meta={"task": cfg.task, "seed": cfg.seed})
+                        meta={name: getattr(cfg, name) for name in SPLIT_FIELDS})
     _json_dump(Path(cfg.workdir) / "train_report.json", report.to_dict())
     acc = test_metrics["accuracy"] if test_metrics else float("nan")
     return (f"train: best epoch {report.best_epoch}, "

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import reprlib
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -35,50 +37,66 @@ class ManifestEntry:
     age_years: int | None = None
 
 
-@dataclass
-class DatasetManifest:
-    dataset: str
-    entries: list[ManifestEntry]
+def json_value(value, kind: type, what: str):
+    """`value` if it has `kind`'s JSON type, else a ValueError naming `what`.
+
+    The one type rule for every JSON document the program reads: a str takes a
+    string, an int an integer, a float an integer or a float (kept as given), a
+    list a list and a dict an object. A bool passes for none of them."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{what} expects {kind.__name__}, got {reprlib.repr(value)}")
+    return value
 
 
-def load_manifest(path: str | Path) -> DatasetManifest:
+def json_field(doc: dict, name: str, kind: type, where: str, optional: bool = False):
+    """doc[name] checked by json_value; an optional field may be absent or null (None)."""
+    if optional and doc.get(name) is None:
+        return None
+    if name not in doc:
+        raise ValueError(f"{where} has no field {name!r}")
+    return json_value(doc[name], kind, f"{where} field {name!r}")
+
+
+def json_dataclass(base, doc: dict, what: str, coerce: bool = False):
+    """Dataclass `base` with the fields `doc` sets, each of its default's type by
+    json_value; with coerce, values are first converted to that type if they can be."""
+    kinds = {f.name: type(f.default) for f in fields(base)}
+    updates = {}
+    for name, value in json_value(doc, dict, what).items():
+        if name not in kinds:
+            raise ValueError(f"unknown {what} field {name!r}")
+        if coerce:
+            with contextlib.suppress(ValueError):
+                value = kinds[name](value)
+        updates[name] = json_value(value, kinds[name], f"{what} field {name!r}")
+    return replace(base, **updates)
+
+
+def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read and validate a dataset manifest JSON file."""
     path = Path(path)
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    records = doc.get("records") if isinstance(doc, dict) else None
-    if not (isinstance(records, list) and all(isinstance(row, dict) for row in records)):
-        raise ValueError(f"{path}: manifest field 'records' must be a list of objects")
+        doc = json_value(json.load(f), dict, str(path))
     entries = []
     seen = set()
-    for i, row in enumerate(records):
-        sid = _manifest_field(path, i, row, "subject_id", str)
-        csv = path.parent / _manifest_field(path, i, row, "csv", str)
-        fs = _manifest_field(path, i, row, "fs", float)
+    for i, row in enumerate(json_field(doc, "records", list, str(path))):
+        where = f"{path}: record {i}"
+        json_value(row, dict, f"{path} field 'records' item {i}")
+        sid = json_field(row, "subject_id", str, where)
+        csv = path.parent / json_field(row, "csv", str, where)
+        fs = json_field(row, "fs", float, where)
         if sid in seen:
             raise ValueError(f"{path}: duplicate subject_id {sid!r}")
         seen.add(sid)
         if not csv.exists():
             raise FileNotFoundError(f"{path}: record {i} references missing file {csv}")
-        age = row.get("age_years")
-        if age is not None:
-            age = _manifest_field(path, i, row, "age_years", int)
         entries.append(ManifestEntry(
             subject_id=sid, csv_path=csv, fs=fs,
-            gender=row.get("gender"), age_years=age,
+            gender=json_field(row, "gender", str, where, optional=True),
+            age_years=json_field(row, "age_years", int, where, optional=True),
         ))
-    return DatasetManifest(dataset=str(doc.get("dataset", path.stem)), entries=entries)
-
-
-def _manifest_field(path: Path, i: int, row: dict, name: str, kind: type):
-    """row[name] converted to kind; failures name the manifest, the record and the field."""
-    if name not in row:
-        raise ValueError(f"{path}: record {i} missing field {name!r}")
-    try:
-        return kind(row[name])
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: record {i} field {name!r} must be {kind.__name__}, "
-                         f"got {row[name]!r}") from None
+    return entries
 
 
 def load_record(entry: ManifestEntry) -> EcgRecord:

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import data_io
 from .autodiff import Tensor
 
 
@@ -213,9 +214,12 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], VitConfig, dict[str, int],
         header = ad.read_exact(f, hlen, path)
         arrays = ad.load_tensors(f)
     try:
-        doc = json.loads(header)
-        config = VitConfig(**doc["config"])
-    except (ValueError, KeyError, TypeError) as e:
+        doc = data_io.json_value(json.loads(header), dict, "header")
+        config = data_io.json_dataclass(
+            VitConfig(), data_io.json_field(doc, "config", dict, "header"), "config")
+        vocab = data_io.json_field(doc, "vocab", dict, "header")
+        meta = data_io.json_field(doc, "meta", dict, "header")
+    except ValueError as e:
         raise ValueError(f"{path}: bad checkpoint header ({e})") from e
     shapes = param_shapes(config)
     bad = sorted(k for k in shapes.keys() | arrays.keys()
@@ -224,4 +228,4 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], VitConfig, dict[str, int],
         raise ValueError(f"{path}: parameters {bad} are missing, unknown or "
                          f"misshapen for the stored config")
     params = {k: Tensor(v, name=k) for k, v in arrays.items()}
-    return params, config, doc["vocab"], doc.get("meta", {})
+    return params, config, vocab, meta

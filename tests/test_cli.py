@@ -7,10 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from transecg import autodiff, cli
+from transecg import autodiff, cli, data_io, vit
 
 TINY_ARGS = [
     "--set", "seq_len=1000", "--set", "patch_size=50",
@@ -20,6 +20,40 @@ TINY_ARGS = [
     "--set", "max_epochs=2", "--set", "batch_size=8",
     "--set", "lr=0.001", "--set", "explain_windows=4",
 ]
+
+
+# a JSON value of each type, and the types each field kind takes
+JSON_TYPES = {
+    "bool": st.booleans(), "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False), "str": st.text(max_size=4),
+    "list": st.lists(st.integers(), max_size=2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    "null": st.none(),
+}
+TAKES = {str: {"str"}, int: {"int"}, float: {"int", "float"}, list: {"list"}, dict: {"object"}}
+ON_FIXTURES = settings(max_examples=40, deadline=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def wrong_type(kind, optional=False):
+    """A JSON value that a field of `kind` does not take (null only if it is required)."""
+    bad = set(JSON_TYPES) - TAKES[kind] - ({"null"} if optional else set())
+    return st.one_of(*(JSON_TYPES[name] for name in sorted(bad)))
+
+
+def record(**changes):
+    return {"subject_id": "S1", "csv": "s1.csv", "fs": 250.0, **changes}
+
+
+def rewrite_header(ckpt, dest, edit):
+    """Copy checkpoint `ckpt` to `dest` with edit(header) applied to its JSON header."""
+    blob = ckpt.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[:8])
+    header = json.loads(blob[8:8 + hlen])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    dest.write_bytes(struct.pack("<Q", len(new)) + new + blob[8 + hlen:])
+    return dest
 
 
 def run(command, workdir, extra=()):
@@ -49,10 +83,11 @@ class TestConfig:
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config field"):
-            cli._apply(cli.RunConfig(), {"bogus": 1})
+            data_io.json_dataclass(cli.RunConfig(), {"bogus": 1}, "config")
 
     def test_set_coerces_to_field_type(self):
-        cfg = cli._apply(cli.RunConfig(), {"max_epochs": "7", "lr": "0.5"}, coerce=True)
+        cfg = data_io.json_dataclass(cli.RunConfig(), {"max_epochs": "7", "lr": "0.5"},
+                                     "config", coerce=True)
         assert cfg.max_epochs == 7 and isinstance(cfg.max_epochs, int)
         assert cfg.lr == 0.5
 
@@ -81,7 +116,8 @@ class TestConfig:
         assert repr(field) in err and kind in err and str(cfile) in err
 
     def test_config_file_int_kept_for_float_field(self):
-        cfg = cli._apply(cli.RunConfig(), {"lr": 1, "seed": 7, "task": "age"})
+        cfg = data_io.json_dataclass(cli.RunConfig(), {"lr": 1, "seed": 7, "task": "age"},
+                                     "config")
         assert cfg.lr == 1 and type(cfg.lr) is int
         assert cfg.seed == 7 and cfg.task == "age"
 
@@ -106,11 +142,23 @@ class TestConfig:
 @given(field=st.sampled_from(dataclasses.fields(cli.RunConfig)), text=st.text())
 def test_override_yields_field_type_or_names_field(field, text):
     try:
-        cfg = cli._apply(cli.RunConfig(), {field.name: text}, coerce=True)
+        cfg = data_io.json_dataclass(cli.RunConfig(), {field.name: text}, "config",
+                                     coerce=True)
     except ValueError as e:
         assert repr(field.name) in str(e)
     else:
         assert type(getattr(cfg, field.name)) is type(field.default)
+
+
+@ON_FIXTURES
+@given(data=st.data())
+def test_config_field_of_wrong_type_exits_naming_file_and_field(tmp_path, capsys, data):
+    field = data.draw(st.sampled_from(dataclasses.fields(cli.RunConfig)))
+    cfile = tmp_path / "cfg.json"
+    cfile.write_text(json.dumps({field.name: data.draw(wrong_type(type(field.default)))}))
+    assert cli.main(["synth", "--workdir", str(tmp_path / "w"), "--config", str(cfile)]) == 1
+    err = capsys.readouterr().err
+    assert str(cfile) in err and repr(field.name) in err
 
 
 class TestCommands:
@@ -187,7 +235,13 @@ class TestErrors:
         ([["S1", "s1.csv", 250.0]], "records"),
         ([{"subject_id": "S1", "csv": "s1.csv", "fs": "abc"}], "fs"),
         ([{"subject_id": "S1", "csv": "s1.csv", "fs": 250.0, "age_years": "x"}], "age_years"),
-    ], ids=["records-object", "row-not-object", "fs-str", "age_years-str"])
+        ([record(fs=True)], "fs"), ([record(fs="250")], "fs"), ([record(fs=1.0)], "fs"),
+        ([record(age_years=41.7)], "age_years"), ([record(age_years="41")], "age_years"),
+        ([record(subject_id=5)], "subject_id"), ([record(csv=None)], "csv"),
+        ([record(gender=5)], "gender"),
+    ], ids=["records-object", "row-not-object", "fs-str", "age_years-str", "fs-bool",
+            "fs-numeric-str", "fs-too-low", "age_years-fraction", "age_years-numeric-str",
+            "subject_id-int", "csv-null", "gender-int"])
     def test_bad_manifest_exits_naming_manifest_and_field(self, tmp_path, capsys,
                                                           records, field):
         (tmp_path / "s1.csv").write_text("amplitude\n0.0\n1.0\n")
@@ -198,6 +252,26 @@ class TestErrors:
         assert str(manifest) in err and repr(field) in err
         if field != "records":
             assert "record 0" in err
+
+    @ON_FIXTURES
+    @given(data=st.data())
+    def test_manifest_field_of_wrong_type_exits_naming_file_and_field(
+            self, tmp_path, capsys, data):
+        fields = {"subject_id": (str, False), "csv": (str, False), "fs": (float, False),
+                  "gender": (str, True), "age_years": (int, True)}
+        records = [record(subject_id=f"S{i}", gender="male", age_years=40) for i in range(2)]
+        (tmp_path / "s1.csv").write_text("amplitude\n0.0\n1.0\n")
+        name = data.draw(st.sampled_from(["records", *fields]))
+        if name == "records":
+            doc = {"records": data.draw(wrong_type(list))}
+        else:
+            records[data.draw(st.integers(0, 1))][name] = data.draw(wrong_type(*fields[name]))
+            doc = {"records": records}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        assert run("preprocess", tmp_path, extra=["--set", f"manifest={manifest}"]) == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err and repr(name) in err
 
     def test_non_finite_csv_exits_naming_it(self, tmp_path, capsys):
         csv = tmp_path / "s1.csv"
@@ -240,6 +314,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert str(pipeline / "model.ckpt") in err and flag[2:] in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    def test_checkpoint_fraction_mismatch_refused(self, pipeline, capsys, command):
+        extra = ["--set", "train_frac=0.6", "--set", "val_frac=0.25"]
+        assert run(command, pipeline, extra=extra) == 1
+        err = capsys.readouterr().err
+        assert str(pipeline / "model.ckpt") in err and "train_frac" in err
+
+    @pytest.mark.parametrize("name", ["train_frac", "val_frac", "test_frac"])
+    def test_checkpoint_without_fractions_refused(self, pipeline, tmp_path, capsys, name):
+        bad = rewrite_header(pipeline / "model.ckpt", tmp_path / "old.ckpt",
+                             lambda header: header["meta"].pop(name))
+        assert run("evaluate", pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and name in err and "retrain" in err
+
     @pytest.mark.parametrize("where", ["middle", "tensor_boundary"])
     def test_truncated_checkpoint_exits_naming_path(self, pipeline, tmp_path, capsys, where):
         blob = (pipeline / "model.ckpt").read_bytes()
@@ -262,23 +351,48 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "windows.bin" in err and "windows.json" in err
 
-    def test_explain_refuses_empty_test_split(self, pipeline, capsys):
-        fractions = ["train_frac=0.5", "val_frac=0.45", "test_frac=0.05"]
-        extra = [arg for item in fractions for arg in ("--set", item)]
-        assert run("explain", pipeline, extra=extra) == 1
+    def test_explain_refuses_empty_test_split(self, pipeline, tmp_path, capsys):
+        fractions = {"train_frac": 0.5, "val_frac": 0.45, "test_frac": 0.05}
+        ckpt = rewrite_header(pipeline / "model.ckpt", tmp_path / "model.ckpt",
+                              lambda header: header["meta"].update(fractions))
+        extra = [arg for name, value in fractions.items() for arg in ("--set", f"{name}={value}")]
+        assert run("explain", pipeline, extra=[*extra, "--set", f"checkpoint={ckpt}"]) == 1
         assert "test split is empty" in capsys.readouterr().err
 
     def test_bad_checkpoint_header_exits_naming_path(self, pipeline, tmp_path, capsys):
-        blob = (pipeline / "model.ckpt").read_bytes()
-        (hlen,) = struct.unpack("<Q", blob[:8])
-        header = json.loads(blob[8:8 + hlen])
-        header["config"]["patch_size"] = 0
-        new = json.dumps(header, sort_keys=True).encode("utf-8")
-        bad = tmp_path / "zero_patch.ckpt"
-        bad.write_bytes(struct.pack("<Q", len(new)) + new + blob[8 + hlen:])
+        bad = rewrite_header(pipeline / "model.ckpt", tmp_path / "zero_patch.ckpt",
+                             lambda header: header["config"].update(patch_size=0))
         assert run("evaluate", pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and "patch_size" in err
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda header: header["config"].update(seq_len=1000.0), "seq_len"),
+        (lambda header: header.pop("vocab"), "vocab"),
+        (lambda header: header.update(meta=[]), "meta"),
+        (lambda header: header["config"].update(ln_eps="1e-6"), "ln_eps"),
+    ], ids=["seq_len-float", "vocab-missing", "meta-list", "ln_eps-str"])
+    def test_checkpoint_header_of_wrong_type_exits_naming_path_and_field(
+            self, pipeline, tmp_path, capsys, edit, field):
+        bad = rewrite_header(pipeline / "model.ckpt", tmp_path / "bad.ckpt", edit)
+        assert run("evaluate", pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(field) in err
+
+    @ON_FIXTURES
+    @given(data=st.data())
+    def test_checkpoint_header_field_of_wrong_type_exits_naming_path_and_field(
+            self, pipeline, tmp_path, capsys, data):
+        config_fields = {f.name: type(f.default) for f in dataclasses.fields(vit.VitConfig)}
+        name = data.draw(st.sampled_from(["config", "vocab", "meta", *config_fields]))
+        value = data.draw(wrong_type(config_fields.get(name, dict)))
+        in_config = name in config_fields
+        bad = rewrite_header(pipeline / "model.ckpt", tmp_path / "bad.ckpt",
+                             lambda header: (header["config"] if in_config else header)
+                             .update({name: value}))
+        assert run("evaluate", pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(name) in err
 
     @pytest.mark.parametrize("field,bad", [
         pytest.param("seq_len", None, id="seq_len"),
@@ -309,7 +423,9 @@ class TestErrors:
     @pytest.mark.parametrize("task", ["gender", "id"])
     @pytest.mark.parametrize("field,value", [
         ("subject_id", 7), ("source_offset", "0"), ("source_offset", True),
-    ], ids=["subject_id-int", "source_offset-str", "source_offset-bool"])
+        ("age_years", "41"), ("gender", ["male"]),
+    ], ids=["subject_id-int", "source_offset-str", "source_offset-bool", "age_years-str",
+            "gender-list"])
     def test_store_row_of_wrong_type_exits_naming_row_and_field(
             self, pipeline, tmp_path, capsys, task, field, value):
         index = json.loads((pipeline / "windows.json").read_text())
@@ -319,6 +435,25 @@ class TestErrors:
         assert run("train", tmp_path, extra=["--task", task]) == 1
         err = capsys.readouterr().err
         assert "windows.json" in err and "window 3" in err and repr(field) in err
+
+    @ON_FIXTURES
+    @given(data=st.data())
+    def test_store_field_of_wrong_type_exits_naming_file_and_field(
+            self, pipeline, tmp_path, capsys, data):
+        fields = {"subject_id": (str, False), "source_offset": (int, False),
+                  "gender": (str, True), "age_years": (int, True)}
+        index = json.loads((pipeline / "windows.json").read_text())
+        name = data.draw(st.sampled_from(["windows", "seq_len", *fields]))
+        if name in fields:
+            row = data.draw(st.integers(0, len(index["windows"]) - 1))
+            index["windows"][row][name] = data.draw(wrong_type(*fields[name]))
+        else:
+            index[name] = data.draw(wrong_type({"windows": list, "seq_len": int}[name]))
+        (tmp_path / "windows.json").write_text(json.dumps(index))
+        shutil.copy(pipeline / "windows.bin", tmp_path / "windows.bin")
+        assert run("train", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "windows.json") in err and repr(name) in err
 
     def test_store_index_not_an_object_exits_naming_it(self, pipeline, tmp_path, capsys):
         (tmp_path / "windows.json").write_text("[]")

@@ -35,12 +35,11 @@ class TestManifest:
              "gender": "male", "age_years": 41},
             {"subject_id": "S2", "csv": "s2.csv", "fs": 250.0},
         ])
-        m = load_manifest(path)
-        assert m.dataset == "toy"
-        assert [e.subject_id for e in m.entries] == ["S1", "S2"]
-        assert m.entries[0].age_years == 41
-        assert m.entries[1].gender is None
-        assert m.entries[0].csv_path == tmp_path / "s1.csv"
+        entries = load_manifest(path)
+        assert [e.subject_id for e in entries] == ["S1", "S2"]
+        assert entries[0].age_years == 41
+        assert entries[1].gender is None
+        assert entries[0].csv_path == tmp_path / "s1.csv"
 
     def test_duplicate_subject_rejected(self, tmp_path):
         path = write_manifest(tmp_path, [
@@ -82,7 +81,7 @@ class TestRecordCsv:
         ])
         # write_manifest clobbered trace.csv; restore it
         save_record_csv(csv, samples)
-        rec = load_record(load_manifest(path).entries[0])
+        rec = load_record(load_manifest(path)[0])
         assert rec.fs == 360.0
         assert np.array_equal(rec.samples, samples)
 
