@@ -12,9 +12,6 @@ when the block raised, so no forward pass can leave nodes behind.
 from __future__ import annotations
 
 import contextlib
-import io
-import math
-import struct
 from typing import Callable, Iterable
 
 import numpy as np
@@ -25,7 +22,6 @@ __all__ = [
     "add", "mul", "scale", "matmul", "transpose", "reshape", "concat",
     "index", "tsum", "tlog", "clip_min", "softmax", "layer_norm",
     "gelu", "linear", "AdamW",
-    "save_tensors", "load_tensors", "read_exact",
 ]
 
 _TAPE: list["Tensor"] = []
@@ -386,64 +382,3 @@ class AdamW:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# parameter serialization
-
-_MAGIC = b"TECG"
-_VERSION = 1
-
-
-def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named float64 arrays to the flat binary container format."""
-    with contextlib.ExitStack() as stack:
-        f = path if hasattr(path, "write") else stack.enter_context(open(path, "wb"))
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        for name, arr in tensors.items():
-            arr = np.asarray(arr, dtype="<f8")
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<Q", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<Q", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<Q", d))
-            f.write(arr.tobytes())
-
-
-def read_exact(f, n: int, where) -> bytes:
-    """Exactly n bytes from the seekable stream f. Asking for more than is left
-    means the container was cut short or a length field is corrupt; that is
-    refused before any buffer is allocated."""
-    pos = f.tell()
-    left = f.seek(0, io.SEEK_END) - pos
-    f.seek(pos)
-    if n > left:
-        raise ValueError(f"{where}: truncated or corrupt parameter container "
-                         f"(a field asks for {n} bytes, {left} are left)")
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"{where}: truncated parameter container")
-    return data
-
-
-def load_tensors(path) -> dict[str, np.ndarray]:
-    """Read a container written by save_tensors; bit-exact round trip."""
-    out: dict[str, np.ndarray] = {}
-    with contextlib.ExitStack() as stack:
-        f = path if hasattr(path, "read") else stack.enter_context(open(path, "rb"))
-        where = getattr(f, "name", path)
-        if f.read(4) != _MAGIC:
-            raise ValueError(f"{where}: bad magic, not a parameter container")
-        (version,) = struct.unpack("<I", read_exact(f, 4, where))
-        if version != _VERSION:
-            raise ValueError(f"{where}: unsupported container version {version}")
-        while head := f.read(8):
-            (nlen,) = struct.unpack("<Q", head + read_exact(f, 8 - len(head), where))
-            name = read_exact(f, nlen, where).decode("utf-8")
-            (rank,) = struct.unpack("<Q", read_exact(f, 8, where))
-            shape = struct.unpack(f"<{rank}Q", read_exact(f, 8 * rank, where))
-            data = np.frombuffer(read_exact(f, 8 * math.prod(shape), where), dtype="<f8")
-            out[name] = data.reshape(shape).copy()
-    return out

@@ -106,8 +106,7 @@ class RunConfig:
 def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            doc = json.load(f)
+        doc = data_io.read_json(args.config)
         try:
             cfg = data_io.json_dataclass(cfg, doc, "config")
         except ValueError as e:
@@ -214,12 +213,15 @@ def load_store(
     labeled ones: (x, y, vocab, plan), with the plan indexing rows of x."""
     workdir = Path(cfg.workdir)
     index_path, bin_path = workdir / STORE_INDEX, workdir / STORE_BIN
-    with open(index_path, encoding="utf-8") as f:
-        doc = data_io.json_value(json.load(f), dict, str(index_path))
+    doc = data_io.read_json(index_path)
     rows = data_io.json_field(doc, "windows", list, str(index_path))
     seq_len = data_io.json_field(doc, "seq_len", int, str(index_path))
     if seq_len < 1:
         raise ValueError(f"{index_path}: field 'seq_len' must be positive, got {seq_len}")
+    fs = data_io.json_field(doc, "fs", float, str(index_path))
+    if fs != cfg.fs_target:
+        raise ValueError(f"{index_path}: field 'fs' is {fs} Hz, but the config's fs_target "
+                         f"is {cfg.fs_target} Hz; preprocess again or set fs_target={fs}")
     for i, row in enumerate(rows):
         data_io.json_value(row, dict, f"{index_path} field 'windows' item {i}")
         where = f"{index_path}: window {i}"
@@ -250,13 +252,16 @@ def _checkpoint(cfg: RunConfig) -> Path:
     return Path(cfg.checkpoint) if cfg.checkpoint else Path(cfg.workdir) / "model.ckpt"
 
 
-def _load_model(cfg: RunConfig) -> tuple[dict, vit.VitConfig]:
-    """Load the checkpoint for inference. The split is rebuilt from the config's
-    seed, task and fractions, so refuse a checkpoint trained with other ones."""
+def _load_model_and_store(
+    cfg: RunConfig,
+) -> tuple[dict, vit.VitConfig, np.ndarray, np.ndarray, training.SplitPlan]:
+    """Load the checkpoint for inference and the store it scores: (params, config,
+    x, y, plan). The split is rebuilt from the config's seed, task and fractions,
+    so refuse a checkpoint trained with other ones or with other class labels."""
     ckpt = _checkpoint(cfg)
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    params, config, _, meta = vit.load_checkpoint(ckpt)
+    params, config, vocab, meta = vit.load_checkpoint(ckpt)
     for name in SPLIT_FIELDS:
         if name not in meta:
             raise ValueError(f"{ckpt} does not record the {name} it was trained with; "
@@ -267,7 +272,11 @@ def _load_model(cfg: RunConfig) -> tuple[dict, vit.VitConfig]:
                 f"{name} is {getattr(cfg, name)!r}; use the checkpoint's seed, task "
                 f"and split fractions"
             )
-    return params, config
+    x, y, store_vocab, plan = load_store(cfg)
+    if vocab != store_vocab:
+        raise ValueError(f"{ckpt} field 'vocab' differs from the class labels of the "
+                         f"window store in {cfg.workdir}; retrain it on this store")
+    return params, config, x, y, plan
 
 
 def cmd_train(cfg: RunConfig) -> str:
@@ -291,8 +300,7 @@ def cmd_train(cfg: RunConfig) -> str:
 
 
 def cmd_evaluate(cfg: RunConfig) -> str:
-    params, config = _load_model(cfg)
-    x, y, _, plan = load_store(cfg)
+    params, config, x, y, plan = _load_model_and_store(cfg)
     metrics = training.evaluate(params, config, x[plan.test], y[plan.test], task=Task(cfg.task))
     out = Path(cfg.workdir) / "metrics.json"
     _json_dump(out, metrics)
@@ -300,8 +308,7 @@ def cmd_evaluate(cfg: RunConfig) -> str:
 
 
 def cmd_explain(cfg: RunConfig) -> str:
-    params, config = _load_model(cfg)
-    x, _, _, plan = load_store(cfg)
+    params, config, x, _, plan = _load_model_and_store(cfg)
     if not plan.test:
         raise ValueError("explain: the test split is empty; raise test_frac or add subjects")
 

@@ -73,14 +73,22 @@ def json_dataclass(base, doc: dict, what: str, coerce: bool = False):
     return replace(base, **updates)
 
 
+def read_json(path) -> dict:
+    """The JSON object file `path` holds, or a ValueError that names the path."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ValueError(f"{path}: {e}") from None
+    return json_value(doc, dict, str(path))
+
+
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read and validate a dataset manifest JSON file."""
     path = Path(path)
-    with open(path, encoding="utf-8") as f:
-        doc = json_value(json.load(f), dict, str(path))
     entries = []
     seen = set()
-    for i, row in enumerate(json_field(doc, "records", list, str(path))):
+    for i, row in enumerate(json_field(read_json(path), "records", list, str(path))):
         where = f"{path}: record {i}"
         json_value(row, dict, f"{path} field 'records' item {i}")
         sid = json_field(row, "subject_id", str, where)

@@ -10,10 +10,10 @@ is implemented here.
 
 from __future__ import annotations
 
-import io
 import json
-import struct
-from dataclasses import asdict, dataclass
+import math
+import os
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -193,39 +193,46 @@ def forward(x: np.ndarray | Tensor, params: dict[str, Tensor], config: VitConfig
 
 def save_checkpoint(path, params: dict[str, Tensor], config: VitConfig,
                     vocab: dict[str, int], meta: dict | None = None) -> None:
-    """Write config header + label vocabulary + parameter container."""
+    """Write the u64 LE length of a JSON header (config, label vocabulary, meta),
+    the header, then every parameter's <f8 bytes in param_shapes(config) order."""
     header = json.dumps(
         {"config": asdict(config), "vocab": vocab, "meta": meta or {}},
         sort_keys=True,
     ).encode("utf-8")
-    buf = io.BytesIO()
-    ad.save_tensors(buf, {k: t.data for k, t in params.items()})
     with open(path, "wb") as f:
-        f.write(struct.pack("<Q", len(header)))
+        f.write(len(header).to_bytes(8, "little"))
         f.write(header)
-        f.write(buf.getvalue())
+        for name in param_shapes(config):
+            f.write(np.asarray(params[name].data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], VitConfig, dict[str, int], dict]:
     """Read a checkpoint written by save_checkpoint, for inference: the returned
     parameters do not require grad, so a forward pass over them records no tape."""
     with open(path, "rb") as f:
-        (hlen,) = struct.unpack("<Q", ad.read_exact(f, 8, path))
-        header = ad.read_exact(f, hlen, path)
-        arrays = ad.load_tensors(f)
-    try:
-        doc = data_io.json_value(json.loads(header), dict, "header")
-        config = data_io.json_dataclass(
-            VitConfig(), data_io.json_field(doc, "config", dict, "header"), "config")
-        vocab = data_io.json_field(doc, "vocab", dict, "header")
-        meta = data_io.json_field(doc, "meta", dict, "header")
-    except ValueError as e:
-        raise ValueError(f"{path}: bad checkpoint header ({e})") from e
-    shapes = param_shapes(config)
-    bad = sorted(k for k in shapes.keys() | arrays.keys()
-                 if k not in arrays or shapes.get(k) != arrays[k].shape)
-    if bad:
-        raise ValueError(f"{path}: parameters {bad} are missing, unknown or "
-                         f"misshapen for the stored config")
-    params = {k: Tensor(v, name=k) for k, v in arrays.items()}
+        size = os.fstat(f.fileno()).st_size
+        hlen = int.from_bytes(f.read(8), "little")
+        if size < 8 or 8 + hlen > size:
+            raise ValueError(f"{path}: truncated or corrupt checkpoint (its header "
+                             f"length field asks for {hlen} bytes, the file holds {size})")
+        header = f.read(hlen)
+        try:
+            doc = data_io.json_value(json.loads(header), dict, "header")
+            stored = data_io.json_field(doc, "config", dict, "header")
+            for field in fields(VitConfig):  # a default would silently stand in
+                data_io.json_field(stored, field.name, type(field.default), "config")
+            config = data_io.json_dataclass(VitConfig(), stored, "config")
+            vocab = data_io.json_field(doc, "vocab", dict, "header")
+            meta = data_io.json_field(doc, "meta", dict, "header")
+        except ValueError as e:
+            raise ValueError(f"{path}: bad checkpoint header ({e})") from e
+        shapes = param_shapes(config)
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if size - 8 - hlen != 8 * sum(sizes):
+            raise ValueError(f"{path} holds {size - 8 - hlen} parameter bytes, but its "
+                             f"config needs {8 * sum(sizes)}; retrain it")
+        flat = np.fromfile(f, dtype="<f8", count=sum(sizes))
+    chunks = np.split(flat, np.cumsum(sizes)[:-1])
+    params = {name: Tensor(chunk.reshape(shape), name=name)
+              for (name, shape), chunk in zip(shapes.items(), chunks)}
     return params, config, vocab, meta

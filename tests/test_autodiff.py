@@ -1,4 +1,4 @@
-import io
+import json
 import struct
 import tracemalloc
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gradcheck import fd_gradient, rel_error
 from transecg import autodiff as ad
+from transecg import vit
 from transecg.autodiff import AdamW, Tensor
 
 
@@ -296,72 +297,50 @@ class TestAdamW:
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
-class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(11)
-        tensors = {
-            "a.weight": rng.normal(size=(3, 5)),
-            "b.bias": rng.normal(size=7),
-            "scalar": np.array(3.14159),
-        }
-        path = tmp_path / "params.bin"
-        ad.save_tensors(path, tensors)
-        loaded = ad.load_tensors(path)
-        assert list(loaded) == list(tensors)
-        for k in tensors:
-            assert loaded[k].shape == np.asarray(tensors[k]).shape
-            assert np.array_equal(
-                loaded[k].view(np.uint64), np.asarray(tensors[k]).view(np.uint64)
-            )
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            ad.load_tensors(path)
-
-    def test_file_object_round_trip(self):
-        buf = io.BytesIO()
-        ad.save_tensors(buf, {"x": np.arange(4.0)})
-        buf.seek(0)
-        assert np.array_equal(ad.load_tensors(buf)["x"], np.arange(4.0))
-
-
-def _container(tensors):
-    buf = io.BytesIO()
-    ad.save_tensors(buf, tensors)
-    return buf.getvalue()
-
-
-_TENSORS = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([1.5, -2.5])}
-_BLOB = _container(_TENSORS)
-# byte offsets where a tensor record ends: a cut there leaves a valid, shorter container
-_BOUNDARIES = {len(_container(dict(list(_TENSORS.items())[:k]))) for k in range(len(_TENSORS))}
-
-
 class TestTruncation:
-    @given(cut=st.integers(0, len(_BLOB) - 1))
-    def test_truncated_container_raises_value_error(self, cut):
-        try:
-            loaded = ad.load_tensors(io.BytesIO(_BLOB[:cut]))
-        except ValueError:
-            return
-        # only a cut exactly between tensor records reads back, as that prefix
-        assert cut in _BOUNDARIES
-        assert list(loaded) == list(_TENSORS)[:len(loaded)]
+    """Refusal of cut and corrupt parameter files. The parameters' file format is
+    the checkpoint's now (vit.save_checkpoint / vit.load_checkpoint); these cases
+    keep the names they had when autodiff wrote its own tensor container."""
 
-    # byte offsets in _BLOB of the first record's name length, rank and first dimension
-    @pytest.mark.parametrize("offset", [8, 17, 25], ids=["name_length", "rank", "dimension"])
-    def test_corrupt_length_field_refused_before_reading(self, tmp_path, offset):
-        blob = bytearray(_BLOB)
-        blob[offset:offset + 8] = struct.pack("<Q", 2**40)
-        path = tmp_path / "corrupt.bin"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="corrupt.bin"):
-            ad.load_tensors(path)
+    def test_truncated_container_raises_value_error(self, tmp_path):
+        blob = _checkpoint_bytes(tmp_path)
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        # every cut through the length field, the header and the first parameters
+        for cut in range(8 + hlen + 64):
+            path = tmp_path / "cut.ckpt"
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match="cut.ckpt"):
+                vit.load_checkpoint(path)
+
+    # the ids name the container's length fields; each case corrupts the checkpoint
+    # field that now fixes the same kind of length: the header length (one past the
+    # file's end), and the model width and MLP width its parameter shapes follow
+    @pytest.mark.parametrize("field", ["name_length", "rank", "dimension"])
+    def test_corrupt_length_field_refused_before_reading(self, tmp_path, field):
+        blob = _checkpoint_bytes(tmp_path)
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        if field == "name_length":
+            blob = struct.pack("<Q", len(blob) - 8 + 1) + blob[8:]
+        else:
+            header = json.loads(blob[8:8 + hlen])
+            header["config"]["hidden_dim" if field == "dimension" else "mlp_dim"] = 2**40
+            new = json.dumps(header, sort_keys=True).encode("utf-8")
+            blob = struct.pack("<Q", len(new)) + new + blob[8 + hlen:]
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="corrupt.ckpt"):
+            vit.load_checkpoint(path)
 
     def test_short_read_names_the_path(self, tmp_path):
-        path = tmp_path / "cut.bin"
-        path.write_bytes(_BLOB[:-3])
-        with pytest.raises(ValueError, match="cut.bin"):
-            ad.load_tensors(path)
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(_checkpoint_bytes(tmp_path)[:-3])
+        with pytest.raises(ValueError, match="cut.ckpt"):
+            vit.load_checkpoint(path)
+
+
+def _checkpoint_bytes(tmp_path):
+    config = vit.VitConfig(seq_len=20, patch_size=10, hidden_dim=4, n_layers=1,
+                           n_heads=2, mlp_dim=4, n_classes=2)
+    path = tmp_path / "model.ckpt"
+    vit.save_checkpoint(path, vit.init_params(config, seed=0), config, {"a": 0})
+    return path.read_bytes()

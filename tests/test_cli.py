@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import json
 import shutil
 import struct
@@ -329,15 +328,11 @@ class TestErrors:
         err = capsys.readouterr().err
         assert str(bad) in err and name in err and "retrain" in err
 
-    @pytest.mark.parametrize("where", ["middle", "tensor_boundary"])
+    @pytest.mark.parametrize("where", ["middle", "last_parameter_dropped"])
     def test_truncated_checkpoint_exits_naming_path(self, pipeline, tmp_path, capsys, where):
         blob = (pipeline / "model.ckpt").read_bytes()
-        if where == "middle":
-            cut = len(blob) // 2
-        else:  # drop the last tensor record whole: the container itself stays well-formed
-            buf = io.BytesIO()
-            autodiff.save_tensors(buf, {"head.b": np.zeros(2)})
-            cut = len(blob) - (len(buf.getvalue()) - 8)
+        # dropping head.b, the last parameter, leaves the header well-formed
+        cut = len(blob) // 2 if where == "middle" else len(blob) - 8 * 2
         bad = tmp_path / "cut.ckpt"
         bad.write_bytes(blob[:cut])
         assert run("evaluate", pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
@@ -365,6 +360,43 @@ class TestErrors:
         assert run("evaluate", pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and "patch_size" in err
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(vit.VitConfig)])
+    def test_checkpoint_config_missing_field_exits_naming_path_and_field(
+            self, pipeline, tmp_path, capsys, field):
+        bad = rewrite_header(pipeline / "model.ckpt", tmp_path / "bad.ckpt",
+                             lambda header: header["config"].pop(field))
+        assert run("evaluate", pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(field) in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    def test_checkpoint_vocab_mismatch_refused(self, pipeline, tmp_path, capsys, command):
+        bad = rewrite_header(pipeline / "model.ckpt", tmp_path / "bad.ckpt",
+                             lambda header: header.update(vocab={"male": 1, "female": 0}))
+        assert run(command, pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'vocab'" in err
+
+    def test_store_fs_mismatch_refused(self, pipeline, capsys):
+        assert run("explain", pipeline, extra=["--set", "fs_target=500"]) == 1
+        err = capsys.readouterr().err
+        assert "windows.json" in err and "'fs'" in err and "250.0" in err and "500.0" in err
+
+    @pytest.mark.parametrize("content", [b"{oops", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
+    @pytest.mark.parametrize("document", ["config.json", "manifest.json", "windows.json"])
+    def test_unreadable_json_exits_naming_path(self, tmp_path, capsys, document, content):
+        path = tmp_path / document
+        path.write_bytes(content)
+        if document == "config.json":
+            code = run("synth", tmp_path, extra=["--config", str(path)])
+        elif document == "manifest.json":
+            code = run("preprocess", tmp_path, extra=["--set", f"manifest={path}"])
+        else:
+            (tmp_path / "windows.bin").write_bytes(b"")
+            code = run("train", tmp_path)
+        assert code == 1
+        assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit,field", [
         (lambda header: header["config"].update(seq_len=1000.0), "seq_len"),
@@ -399,6 +431,7 @@ class TestErrors:
         pytest.param("windows", None, id="windows"),
         pytest.param("subject_id", None, id="subject_id"),
         pytest.param("source_offset", None, id="source_offset"),
+        pytest.param("fs", None, id="fs"),
         # the float matches windows.bin's size, so only a type check catches it
         pytest.param("seq_len", lambda index: float(index["seq_len"]), id="seq_len-float"),
         pytest.param("windows", lambda index: list(range(len(index["windows"]))),

@@ -1,5 +1,6 @@
 import dataclasses
-import io
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -248,31 +249,61 @@ class TestCheckpoint:
             vit.forward(tiny_batch(1), params, cfg, capture_attention=True)
             assert len(ad._TAPE) == 0
 
+    def test_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(11)
+        params = {name: Tensor(rng.normal(size=shape))
+                  for name, shape in vit.param_shapes(TINY).items()}
+        params["head.b"].data[:2] = [-0.0, 5e-324]  # sign of zero, a subnormal
+        path = tmp_path / "model.ckpt"
+        vit.save_checkpoint(path, params, TINY, {})
+        loaded, _, _, _ = vit.load_checkpoint(path)
+        assert list(loaded) == list(params)
+        for name, p in params.items():
+            assert loaded[name].shape == p.shape
+            assert np.array_equal(loaded[name].data.view(np.uint64), p.data.view(np.uint64))
+
+    def test_file_layout(self, tiny_params, tmp_path):
+        """u64 LE header length, the JSON header, then each parameter's <f8 bytes
+        in param_shapes order."""
+        path = tmp_path / "model.ckpt"
+        vocab, meta = {"male": 0, "female": 1}, {"seed": 3}
+        vit.save_checkpoint(path, tiny_params, TINY, vocab, meta=meta)
+        header = json.dumps({"config": dataclasses.asdict(TINY), "vocab": vocab,
+                             "meta": meta}, sort_keys=True).encode("utf-8")
+        payload = b"".join(np.asarray(tiny_params[name].data, dtype="<f8").tobytes()
+                           for name in vit.param_shapes(TINY))
+        assert path.read_bytes() == struct.pack("<Q", len(header)) + header + payload
+
     def test_params_checked_against_config(self, tiny_params, tmp_path):
         path = tmp_path / "model.ckpt"
         wider = dataclasses.replace(TINY, mlp_dim=32)
         vit.save_checkpoint(path, tiny_params, wider, {})
-        with pytest.raises(ValueError, match="ffn.b1"):
+        with pytest.raises(ValueError, match=f"{path.name} holds .* retrain"):
+            vit.load_checkpoint(path)
+
+    def test_corrupt_header_length_refused_before_reading(self, tmp_path):
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes(struct.pack("<Q", 2**40) + _checkpoint_bytes(tmp_path)[8:])
+        with pytest.raises(ValueError, match="corrupt.ckpt"):
+            vit.load_checkpoint(path)
+
+    def test_trailing_byte_refused(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(_checkpoint_bytes(tmp_path) + b"\0")
+        with pytest.raises(ValueError, match="long.ckpt"):
             vit.load_checkpoint(path)
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_every_truncation_raises_value_error(self, tmp_path, data):
         blob = _checkpoint_bytes(tmp_path)
-        # a cut between tensor records leaves a well-formed container: try one too
-        last = len(blob) - len(_tensor_record("head.b", (TINY.n_classes,)))
+        # dropping the last parameter whole leaves a well-formed header: try that too
+        last = len(blob) - 8 * TINY.n_classes
         cut = data.draw(st.integers(0, len(blob) - 1) | st.just(last))
         path = tmp_path / f"cut{cut}.ckpt"
         path.write_bytes(blob[:cut])
         with pytest.raises(ValueError, match=path.name):
             vit.load_checkpoint(path)
-
-
-def _tensor_record(name, shape):
-    """Bytes save_tensors writes for one tensor, without the container header."""
-    buf = io.BytesIO()
-    ad.save_tensors(buf, {name: np.zeros(shape)})
-    return buf.getvalue()[8:]
 
 
 def _checkpoint_bytes(tmp_path):
