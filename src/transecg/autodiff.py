@@ -21,7 +21,7 @@ __all__ = [
     "Tensor", "recording", "backward",
     "add", "mul", "scale", "matmul", "transpose", "reshape", "concat",
     "index", "tsum", "tlog", "clip_min", "softmax", "layer_norm",
-    "gelu", "linear", "AdamW",
+    "attention", "gelu", "linear", "AdamW",
 ]
 
 _TAPE: list["Tensor"] = []
@@ -162,11 +162,14 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus bias broadcast over the rows when given (b must then be 2D)."""
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     if b.data.ndim == 2:
-        return _matmul_rows(a, b)
+        return _matmul_rows(a, b, bias)
+    if bias is not None:
+        raise ValueError("matmul takes a bias only with a 2D right operand")
     out = Tensor(a.data @ b.data)
 
     def bwd(g):
@@ -178,11 +181,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
-    """[..., K] @ [K, N] as one [M, K] @ [K, N] GEMM over the flattened rows."""
+def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
+    """[..., K] @ [K, N] (+ bias) as one [M, K] @ [K, N] GEMM over the flattened rows."""
     k, n = b.shape
     a2 = a.data.reshape(-1, k)
-    out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (n,)))
+    y = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
+    if bias is not None:
+        y += bias.data
+    out = Tensor(y)
 
     def bwd(g):
         g2 = g.reshape(-1, n)
@@ -190,8 +196,10 @@ def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate((g2 @ b.data.T).reshape(a.shape))
         if b.requires_grad:
             b.accumulate(a2.T @ g2)
+        if bias is not None and bias.requires_grad:
+            bias.accumulate(_unbroadcast(g, bias.shape))
 
-    return _record(out, (a, b), bwd)
+    return _record(out, (a, b) if bias is None else (a, b, bias), bwd)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
@@ -294,12 +302,17 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Standardize over the last axis, then affine transform."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
+               residual: Tensor | None = None, residual_scale: float = 1.0) -> Tensor:
+    """Standardize over the last axis, then affine transform. With a residual,
+    normalize x + residual_scale * residual in the same node (a post-norm block)."""
     d = x.shape[-1]
     if d < 2:
         raise ValueError("layer_norm needs a last axis of size >= 2")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    xs = x.data
+    if residual is not None:
+        xs = xs + (residual.data * residual_scale if residual_scale != 1.0 else residual.data)
+    xhat = xs - xs.mean(axis=-1, keepdims=True)
     var = np.square(xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
@@ -312,16 +325,71 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
             beta.accumulate(_unbroadcast(g, beta.shape))
         if gamma.requires_grad:
             gamma.accumulate(_unbroadcast(g * xhat, gamma.shape))
-        if x.requires_grad:
+        if x.requires_grad or (residual is not None and residual.requires_grad):
             dxhat = g * gamma.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             dxhat -= m1
             dxhat -= xhat * m2
             dxhat *= inv
-            x.accumulate(dxhat)
+            if x.requires_grad:
+                x.accumulate(dxhat)
+            if residual is not None and residual.requires_grad:
+                residual.accumulate(dxhat * residual_scale if residual_scale != 1.0 else dxhat)
 
-    return _record(out, (x, gamma, beta), bwd)
+    inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    return _record(out, inputs, bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention as one node.
+
+    q, k, v are [B, T, H*dh] projections. Splits the heads, computes
+    P = softmax(q k^T / sqrt(dh)) and P v, and merges the heads back to
+    [B, T, H*dh]. Returns that output and P [B, H, T, T]. The backward is
+    dV = P^T dO, dS = P * (dP - rowsum(dP * P)) / sqrt(dh) with dP = dO V^T,
+    dQ = dS K and dK = dS^T Q; only P and the projections are kept for it.
+    """
+    b, t, hdh = q.shape
+    if k.shape != q.shape or v.shape != q.shape or hdh % n_heads:
+        raise ValueError(f"attention needs equal [B, T, H*dh] inputs with H={n_heads} "
+                         f"dividing the last axis, got {q.shape}, {k.shape}, {v.shape}")
+    dh = hdh // n_heads
+
+    def heads(a: np.ndarray) -> np.ndarray:          # [B, T, H*dh] -> [B, H, T, dh]
+        return np.transpose(a.reshape(b, t, n_heads, dh), (0, 2, 1, 3))
+
+    def merge(a: np.ndarray) -> np.ndarray:          # [B, H, T, dh] -> [B, T, H*dh]
+        return np.transpose(a, (0, 2, 1, 3)).reshape(b, t, hdh)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    c = 1.0 / np.sqrt(dh)
+    p = qh @ np.swapaxes(kh, -1, -2)
+    p *= c
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = Tensor(merge(p @ vh))
+
+    def bwd(g):
+        do = heads(g)
+        if v.requires_grad:
+            v.accumulate(merge(np.swapaxes(p, -1, -2) @ do))
+        if q.requires_grad or k.requires_grad:
+            dp = do @ np.swapaxes(vh, -1, -2)
+            ds = dp * p
+            dot = ds.sum(axis=-1, keepdims=True)
+            np.subtract(dp, dot, out=ds)
+            del dp
+            ds *= p
+            ds *= c
+            if q.requires_grad:
+                q.accumulate(merge(ds @ kh))
+            if k.requires_grad:
+                k.accumulate(np.transpose(np.swapaxes(qh, -1, -2) @ ds, (0, 3, 1, 2))
+                             .reshape(b, t, hdh))
+
+    return _record(out, (q, k, v), bwd), p
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -338,10 +406,7 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+    return matmul(x, w, b)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ concatenated heads span 252 dims and the output projection maps 252 -> 256.
 The convolutional patch embedding with kernel=stride=patch_size is identical
 to flattening each patch and applying one linear projection, which is how it
 is implemented here.
+
+An encoder layer that keeps both branches records ten autodiff nodes: the
+q, k and v projections, one `autodiff.attention` node for the heads, the
+output projection, two `autodiff.layer_norm` nodes that each add their
+residual branch (scaled by 1/p for stochastic depth), and the two biased FFN
+linears around a GELU.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -91,6 +97,14 @@ def param_shapes(config: VitConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def param_count(config: VitConfig) -> int:
+    """Number of model parameters, without listing every layer: the count is
+    affine in n_layers, so the one- and two-layer configs fix it."""
+    one, two = (sum(map(math.prod, param_shapes(replace(config, n_layers=n)).values()))
+                for n in (1, 2))
+    return one + (config.n_layers - 1) * (two - one)
+
+
 def init_params(config: VitConfig, seed: int) -> dict[str, Tensor]:
     """Deterministic parameter initialization for a given seed: truncated-normal
     matrices, unit layer-norm gains, zero biases and class token."""
@@ -118,20 +132,9 @@ def embed_patches(x: Tensor, params: dict[str, Tensor], config: VitConfig) -> Te
 def mhsa(z: Tensor, params: dict[str, Tensor], prefix: str, config: VitConfig,
          capture: bool = False) -> tuple[Tensor, np.ndarray | None]:
     """Multi-head self-attention; optionally returns post-softmax maps [B, H, T, T]."""
-    b, t, _ = z.shape
-    h, dh = config.n_heads, config.head_dim
-
-    def heads(w):
-        y = ad.matmul(z, params[prefix + w])         # [B, T, H*Dh]
-        return ad.transpose(y.reshape((b, t, h, dh)), (0, 2, 1, 3))
-
-    q, k, v = heads("w_q"), heads("w_k"), heads("w_v")
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    attn = ad.softmax(scores, axis=-1)               # [B, H, T, T]
-    out = ad.matmul(attn, v)                         # [B, H, T, Dh]
-    out = ad.transpose(out, (0, 2, 1, 3)).reshape((b, t, h * dh))
-    out = ad.matmul(out, params[prefix + "w_o"])
-    return out, attn.data if capture else None
+    q, k, v = (ad.matmul(z, params[prefix + w]) for w in ("w_q", "w_k", "w_v"))
+    out, attn = ad.attention(q, k, v, config.n_heads)
+    return ad.matmul(out, params[prefix + "w_o"]), attn if capture else None
 
 
 def encoder_layer(z: Tensor, params: dict[str, Tensor], layer: int, config: VitConfig,
@@ -140,6 +143,7 @@ def encoder_layer(z: Tensor, params: dict[str, Tensor], layer: int, config: VitC
     """Post-norm residual block: LN(Z + MHSA(Z)) then LN(Z' + FFN(Z'))."""
     pre = f"layers.{layer}."
     p = config.survival_prob
+    branch_scale = 1.0 / p if training else 1.0   # a kept branch is scaled by 1/p in training
 
     def keep_branch() -> bool:
         if not training or p >= 1.0:
@@ -147,18 +151,15 @@ def encoder_layer(z: Tensor, params: dict[str, Tensor], layer: int, config: VitC
         return bool(rng.random() < p)
 
     att, maps = mhsa(z, params, pre, config, capture=capture)
-    if keep_branch():
-        branch = att if not training or p >= 1.0 else ad.scale(att, 1.0 / p)
-        z = ad.add(z, branch)
-    z = ad.layer_norm(z, params[pre + "ln1.gamma"], params[pre + "ln1.beta"], config.ln_eps)
+    z = ad.layer_norm(z, params[pre + "ln1.gamma"], params[pre + "ln1.beta"], config.ln_eps,
+                      residual=att if keep_branch() else None, residual_scale=branch_scale)
 
+    ffn = None
     if keep_branch():
         hdn = ad.gelu(ad.linear(z, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
         ffn = ad.linear(hdn, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
-        if training and p < 1.0:
-            ffn = ad.scale(ffn, 1.0 / p)
-        z = ad.add(z, ffn)
-    z = ad.layer_norm(z, params[pre + "ln2.gamma"], params[pre + "ln2.beta"], config.ln_eps)
+    z = ad.layer_norm(z, params[pre + "ln2.gamma"], params[pre + "ln2.beta"], config.ln_eps,
+                      residual=ffn, residual_scale=branch_scale)
     return z, maps
 
 
@@ -226,12 +227,13 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], VitConfig, dict[str, int],
             meta = data_io.json_field(doc, "meta", dict, "header")
         except ValueError as e:
             raise ValueError(f"{path}: bad checkpoint header ({e})") from e
-        shapes = param_shapes(config)
-        sizes = [math.prod(shape) for shape in shapes.values()]
-        if size - 8 - hlen != 8 * sum(sizes):
+        count = param_count(config)  # checked before param_shapes lists every layer
+        if size - 8 - hlen != 8 * count:
             raise ValueError(f"{path} holds {size - 8 - hlen} parameter bytes, but its "
-                             f"config needs {8 * sum(sizes)}; retrain it")
-        flat = np.fromfile(f, dtype="<f8", count=sum(sizes))
+                             f"config needs {8 * count}; retrain it")
+        flat = np.fromfile(f, dtype="<f8", count=count)
+    shapes = param_shapes(config)
+    sizes = [math.prod(shape) for shape in shapes.values()]
     chunks = np.split(flat, np.cumsum(sizes)[:-1])
     params = {name: Tensor(chunk.reshape(shape), name=name)
               for (name, shape), chunk in zip(shapes.items(), chunks)}

@@ -59,6 +59,15 @@ def test_01_gradient_oracle():
     check(lambda t: ad.gelu(t[0]), [rng.normal(size=(3, 5))])
     check(lambda t: ad.tlog(ad.clip_min(t[0], 1e-12)),
           [np.abs(rng.normal(size=(3, 4))) + 0.1])
+    check(lambda t: ad.mul(ad.attention(t[0], t[1], t[2], 2)[0], t[3]),
+          [rng.normal(size=(2, 3, 4)) for _ in range(4)])
+    check(lambda t: ad.mul(ad.layer_norm(t[0], t[1], t[2], residual=t[3],
+                                         residual_scale=1.25), t[4]),
+          [rng.normal(size=(2, 8)), rng.normal(size=8), rng.normal(size=8),
+           rng.normal(size=(2, 8)), rng.normal(size=(2, 8))])
+    check(lambda t: ad.mul(ad.linear(t[0], t[1], t[2]), t[3]),
+          [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5),
+           rng.normal(size=(2, 3, 5))])
 
     params = vit.init_params(TINY, seed=0)
     x = rng.uniform(size=(2, TINY.seq_len))

@@ -118,6 +118,23 @@ class TestGradients:
         check_op(lambda t: ad.tlog(ad.clip_min(t[0], 1e-12)),
                  [np.abs(self.rng.normal(size=(3, 4))) + 0.1])
 
+    def test_attention(self):
+        shape = (2, 3, 4)   # B, T, H*dh with 2 heads of width 2
+        check_op(lambda t: ad.mul(ad.attention(t[0], t[1], t[2], 2)[0], t[3]),
+                 [self.rng.normal(size=shape) for _ in range(4)])
+
+    def test_layer_norm_residual(self):
+        check_op(lambda t: ad.mul(ad.layer_norm(t[0], t[1], t[2], residual=t[3],
+                                                residual_scale=1.25), t[4]),
+                 [self.rng.normal(size=(2, 8)), self.rng.normal(size=8),
+                  self.rng.normal(size=8), self.rng.normal(size=(2, 8)),
+                  self.rng.normal(size=(2, 8))])
+
+    def test_linear_bias(self):
+        check_op(lambda t: ad.mul(ad.linear(t[0], t[1], t[2]), t[3]),
+                 [self.rng.normal(size=(2, 3, 4)), self.rng.normal(size=(4, 5)),
+                  self.rng.normal(size=5), self.rng.normal(size=(2, 3, 5))])
+
     @pytest.mark.parametrize("seed", range(20))
     def test_randomized_shapes(self, seed):
         rng = np.random.default_rng(seed)
@@ -154,6 +171,96 @@ def test_matmul_with_2d_right_operand_matches_einsum(data):
     assert _rel_err(out.data, np.einsum(f"{rows}k,kn->{rows}n", a, b)) <= 1e-12
     assert _rel_err(ta.grad, np.einsum(f"{rows}n,kn->{rows}k", g, b)) <= 1e-12
     assert _rel_err(tb.grad, np.einsum(f"{rows}k,{rows}n->kn", a, g)) <= 1e-12
+
+
+# The fused ops against the unfused compositions they replace, kept here as
+# oracles. Both do the same float64 operations in the same order, so they agree
+# bit for bit; the bound is the one a reordered sum would still meet.
+
+
+def _unfused_attention(q, k, v, n_heads):
+    b, t, hdh = q.shape
+    dh = hdh // n_heads
+
+    def heads(y):
+        return ad.transpose(y.reshape((b, t, n_heads, dh)), (0, 2, 1, 3))
+
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    attn = ad.softmax(scores, axis=-1)
+    out = ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)).reshape((b, t, hdh))
+    return out, attn.data
+
+
+def _unfused_residual_layer_norm(x, gamma, beta, residual, residual_scale):
+    return ad.layer_norm(ad.add(x, ad.scale(residual, residual_scale)), gamma, beta)
+
+
+def _unfused_linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def _run_both(fused, unfused, arrays, weight):
+    """For each op: its output, any arrays it returns besides, and the input
+    gradients of sum(weight * output)."""
+    results = []
+    for op in (fused, unfused):
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        with ad.recording():
+            out, *extras = op(tensors)
+            ad.backward(ad.tsum(ad.mul(out, Tensor(weight))))
+        results.append([out.data, *extras, *(t.grad for t in tensors)])
+    return results
+
+
+def _assert_close(fused, unfused):
+    for i, (got, want) in enumerate(zip(fused, unfused)):
+        assert _rel_err(got, want) <= 1e-12, f"item {i}"
+
+
+@given(b=st.integers(1, 3), t=st.integers(1, 6), h=st.integers(1, 3),
+       dh=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_attention_matches_unfused(b, t, h, dh, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(b, t, h * dh)) for _ in range(3)]
+    fused, unfused = _run_both(lambda x: ad.attention(*x, h), lambda x: _unfused_attention(*x, h),
+                               arrays, rng.normal(size=(b, t, h * dh)))
+    _assert_close(fused, unfused)
+
+
+@given(lead=st.lists(st.integers(1, 4), min_size=0, max_size=2), d=st.integers(2, 6),
+       c=st.sampled_from([1.0, 1.25, 2.0]), seed=st.integers(0, 2**32 - 1))
+def test_residual_layer_norm_matches_unfused(lead, d, c, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(*lead, d)), rng.normal(size=d), rng.normal(size=d),
+              rng.normal(size=(*lead, d))]
+    fused, unfused = _run_both(
+        lambda x: (ad.layer_norm(x[0], x[1], x[2], residual=x[3], residual_scale=c),),
+        lambda x: (_unfused_residual_layer_norm(*x, c),),
+        arrays, rng.normal(size=(*lead, d)))
+    _assert_close(fused, unfused)
+
+
+@given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=3), k=st.integers(1, 5),
+       n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_biased_linear_matches_unfused(lead, k, n, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(*lead, k)), rng.normal(size=(k, n)), rng.normal(size=n)]
+    fused, unfused = _run_both(lambda x: (ad.linear(*x),), lambda x: (_unfused_linear(*x),),
+                               arrays, rng.normal(size=(*lead, n)))
+    _assert_close(fused, unfused)
+
+
+class TestFusedOpInputs:
+    def test_bias_needs_2d_right_operand(self):
+        with pytest.raises(ValueError, match="bias"):
+            ad.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3, 4))),
+                      Tensor(np.zeros(4)))
+
+    def test_attention_heads_must_divide_width(self):
+        q = Tensor(np.zeros((1, 2, 5)))
+        with pytest.raises(ValueError, match="H=2"):
+            ad.attention(q, q, q, 2)
 
 
 class TestBackwardSemantics:

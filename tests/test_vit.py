@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,19 @@ class TestForward:
             assert rel_error(param.grad, numeric) < 1e-3, key
 
 
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_train_step_tape_nodes(self, n_layers):
+        """Per layer: q, k, v, attention, output projection, two residual layer
+        norms and the three FFN nodes. Embedding 5, head 3, loss 5."""
+        cfg = dataclasses.replace(TINY, n_layers=n_layers)
+        params = vit.init_params(cfg, seed=0)
+        with ad.recording():
+            art = vit.forward(tiny_batch(2), params, cfg, training=True,
+                              rng=np.random.default_rng(0))
+            cross_entropy(art.probs, np.array([0, 2]))
+            assert len(ad._TAPE) == 10 * n_layers + 13
+
+
 class TestStochasticDepth:
     def test_branches_dropped_changes_output(self):
         cfg = vit.VitConfig(seq_len=40, patch_size=10, hidden_dim=8, n_layers=2,
@@ -304,6 +318,24 @@ class TestCheckpoint:
         path.write_bytes(blob[:cut])
         with pytest.raises(ValueError, match=path.name):
             vit.load_checkpoint(path)
+
+
+    def test_huge_layer_count_refused_in_constant_memory(self, tmp_path):
+        blob = _checkpoint_bytes(tmp_path)
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        header = json.loads(blob[8:8 + hlen])
+        header["config"]["n_layers"] = 10**7
+        new = json.dumps(header, sort_keys=True).encode("utf-8")
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(struct.pack("<Q", len(new)) + new + blob[8 + hlen:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="deep.ckpt"):
+                vit.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _checkpoint_bytes(tmp_path):
