@@ -70,9 +70,20 @@ class RunConfig:
     def validate(self) -> None:
         self.vit_config(2)
         signal_core.FilterSpec(self.low_hz, self.high_hz, self.filter_order, fs=float("inf"))
-        for name in ("fs_target", "synth_subjects", "explain_windows"):
+        for name in ("fs_target", "synth_subjects", "synth_duration_s", "explain_windows"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name!r} must be positive")
+        for name in ("stride", "synth_noise_std"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"config field {name!r} must be non-negative")
+        if self.median_kernel < 1 or self.median_kernel % 2 == 0:
+            raise ValueError(f"config field 'median_kernel' must be odd and at least 1, "
+                             f"got {self.median_kernel}")
+        # cmd_synth gives subject i the rate synth_bpm + 4 (i mod 5)
+        fastest = self.synth_bpm + 4.0 * min(4, self.synth_subjects - 1)
+        if self.synth_bpm < 30 or fastest > 220:
+            raise ValueError(f"config field 'synth_bpm' must keep every subject's rate in "
+                             f"[30, 220] bpm, got {self.synth_bpm}..{fastest}")
         if self.seed < 0:
             raise ValueError(f"config field 'seed' must be non-negative, got {self.seed}")
         fractions = ("train_frac", "val_frac", "test_frac")
@@ -185,39 +196,41 @@ def cmd_preprocess(cfg: RunConfig) -> str:
         except ValueError as e:
             raise ValueError(f"{manifest_path}: record {i} field 'fs': {e}") from None
         record = data_io.load_record(entry)
-        for w in signal_core.preprocess_record(
+        offsets, rows = signal_core.preprocess_record(
             record, spec=spec, fs_target=cfg.fs_target,
             median_kernel=cfg.median_kernel, seq_len=cfg.seq_len,
             stride=cfg.stride or None,
-        ):
-            windows.append(w.samples)
-            index.append({
-                "subject_id": w.subject_id, "source_offset": w.source_offset,
-                "gender": record.gender_label, "age_years": record.age_years,
-            })
+        )
+        windows.append(rows)
+        index += [{
+            "subject_id": record.subject_id, "source_offset": offset,
+            "gender": record.gender_label, "age_years": record.age_years,
+        } for offset in offsets]
 
     workdir.mkdir(parents=True, exist_ok=True)
-    arr = np.asarray(windows, dtype="<f8")
     with open(workdir / STORE_BIN, "wb") as f:
-        f.write(arr.tobytes())
+        for rows in windows:
+            f.write(rows.astype("<f8", copy=False).tobytes())
     _json_dump(workdir / STORE_INDEX, {
         "seq_len": cfg.seq_len, "fs": cfg.fs_target, "windows": index,
     })
-    return f"preprocess: stored {len(windows)} windows in {workdir}"
+    return f"preprocess: stored {len(index)} windows in {workdir}"
 
 
 def load_store(
-    cfg: RunConfig,
+    cfg: RunConfig, seq_len: int, owner: str,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, int], training.SplitPlan]:
     """Read the window store, label each window for the task, and split the
-    labeled ones: (x, y, vocab, plan), with the plan indexing rows of x."""
+    labeled ones: (x, y, vocab, plan), with the plan indexing rows of x.
+    The store's windows must be seq_len samples long, the length `owner` has."""
     workdir = Path(cfg.workdir)
     index_path, bin_path = workdir / STORE_INDEX, workdir / STORE_BIN
     doc = data_io.read_json(index_path)
     rows = data_io.json_field(doc, "windows", list, str(index_path))
-    seq_len = data_io.json_field(doc, "seq_len", int, str(index_path))
-    if seq_len < 1:
-        raise ValueError(f"{index_path}: field 'seq_len' must be positive, got {seq_len}")
+    stored = data_io.json_field(doc, "seq_len", int, str(index_path))
+    if stored != seq_len:
+        raise ValueError(f"{index_path}: field 'seq_len' is {stored}, but {owner} has "
+                         f"seq_len {seq_len}; preprocess again with seq_len={seq_len}")
     fs = data_io.json_field(doc, "fs", float, str(index_path))
     if fs != cfg.fs_target:
         raise ValueError(f"{index_path}: field 'fs' is {fs} Hz, but the config's fs_target "
@@ -272,7 +285,7 @@ def _load_model_and_store(
                 f"{name} is {getattr(cfg, name)!r}; use the checkpoint's seed, task "
                 f"and split fractions"
             )
-    x, y, store_vocab, plan = load_store(cfg)
+    x, y, store_vocab, plan = load_store(cfg, config.seq_len, f"the checkpoint {ckpt}")
     if vocab != store_vocab:
         raise ValueError(f"{ckpt} field 'vocab' differs from the class labels of the "
                          f"window store in {cfg.workdir}; retrain it on this store")
@@ -280,7 +293,7 @@ def _load_model_and_store(
 
 
 def cmd_train(cfg: RunConfig) -> str:
-    x, y, vocab, plan = load_store(cfg)
+    x, y, vocab, plan = load_store(cfg, cfg.seq_len, "the config")
     config = cfg.vit_config(len(vocab))
     report, best = training.train(x, y, plan, config, cfg.hparams(), cfg.seed)
 
@@ -312,7 +325,7 @@ def cmd_explain(cfg: RunConfig) -> str:
     if not plan.test:
         raise ValueError("explain: the test split is empty; raise test_frac or add subjects")
 
-    reports = []
+    percentages = []
     first = None
     skipped = 0
     for i in plan.test[:cfg.explain_windows]:
@@ -321,24 +334,21 @@ def cmd_explain(cfg: RunConfig) -> str:
         per_head = explain.extract_importance(art)[0]
         try:
             peaks = delineation.pan_tompkins(window, cfg.fs_target)
-            if peaks.indices.size == 0:
-                raise ValueError("no beats")
             fids = delineation.delineate(window, peaks, cfg.fs_target)
-            imap = delineation.intervals(fids, cfg.fs_target)
-            rep = explain.attribute(per_head.mean(axis=0), imap, config, task=cfg.task)
+            percentages.append(explain.attribute(
+                per_head.mean(axis=0), delineation.intervals(fids), config.patch_size))
         except ValueError:
             skipped += 1
             continue
-        reports.append(rep)
         if first is None:
             first = (per_head, window)
 
-    if not reports:
+    if not percentages:
         raise ValueError("explain: no window could be attributed")
-    combined = explain.aggregate(reports)
-    combined.head_weights = [float(v) for v in explain.head_weights(params, config)]
-    paths = explain.emit_report(combined, *first, Path(cfg.workdir) / "explain")
-    return (f"explain: attributed {len(reports)} windows ({skipped} skipped), "
+    report = explain.aggregate(percentages, cfg.task,
+                               explain.head_weights(params, config).tolist())
+    paths = explain.emit_report(report, *first, Path(cfg.workdir) / "explain")
+    return (f"explain: attributed {len(percentages)} windows ({skipped} skipped), "
             f"report {paths['json']}")
 
 

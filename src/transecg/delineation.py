@@ -1,8 +1,9 @@
 """R-peak detection (Pan-Tompkins) and rule-based PQRST delineation.
 
-Interval naming follows clinical usage: the named composite intervals
-(P-R, Q-T, S-T) are derived from a disjoint base partition of each beat so
-that attributed percentages over the base partition sum to 100%.
+Each beat is cut into a disjoint base partition (P wave, PQ segment, QRS,
+ST segment, T wave, TQ baseline), so that percentages attributed over it sum
+to 100%. The clinical composites (P-R, S-T, Q-T) are unions of base
+intervals; `explain` derives them from the attributed percentages.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ logger = logging.getLogger(__name__)
 
 REFRACTORY_S = 0.200
 BASE_INTERVALS = ("P_WAVE", "PQ_SEGMENT", "QRS", "ST_SEGMENT", "T_WAVE", "TQ_BASELINE")
-COMPOSITE_INTERVALS: dict[str, tuple[str, ...]] = {
-    "P_R": ("P_WAVE", "PQ_SEGMENT"),
-    "S_T": ("ST_SEGMENT", "T_WAVE"),
-    "Q_T": ("QRS", "ST_SEGMENT", "T_WAVE"),
-}
 
 
 @dataclass
@@ -51,7 +47,7 @@ class BeatFiducials:
 
 @dataclass
 class IntervalMap:
-    """Per-beat named half-open sample ranges; composites derived from base ranges."""
+    """Per-beat half-open sample ranges of the base intervals the beat has."""
 
     beats: list[dict[str, tuple[int, int]]]
 
@@ -212,8 +208,8 @@ def _ordered(fid: BeatFiducials) -> bool:
     return all(a < b for a, b in zip(present, present[1:]))
 
 
-def intervals(fids: list[BeatFiducials], fs: float) -> IntervalMap:
-    """Derive the disjoint base partition (and composites) for each beat.
+def intervals(fids: list[BeatFiducials]) -> IntervalMap:
+    """Derive the disjoint base partition of each beat.
 
     Beats whose fiducials are out of order are skipped with a warning.
     """
@@ -236,8 +232,5 @@ def intervals(fids: list[BeatFiducials], fs: float) -> IntervalMap:
             nxt = fids[i + 1].p_on
             if nxt > fid.t_off:
                 b["TQ_BASELINE"] = (fid.t_off, nxt)
-        for name, parts in COMPOSITE_INTERVALS.items():
-            if all(p in b for p in parts):
-                b[name] = (b[parts[0]][0], b[parts[-1]][1])
         beats.append(b)
     return IntervalMap(beats=beats)

@@ -1,9 +1,10 @@
 """Attention attribution: class-token importance from the final encoder block,
 head weighting from the output projection, and interval-level reports.
 
-Percentages are normalized over the disjoint base partition of each beat, so
-they sum to 100; the overlapping clinical composites (P-R, S-T, Q-T) are
-reported as sums of their constituents.
+`attribute` turns one window's patch importance into percentages over the
+disjoint base partition of its beats, so they sum to 100. `aggregate` takes
+the mean over windows and derives, once, the overlapping clinical composites
+(P-R, S-T, Q-T) as sums of their constituents and the top-3 feature table.
 """
 
 from __future__ import annotations
@@ -15,26 +16,31 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .delineation import BASE_INTERVALS, COMPOSITE_INTERVALS, IntervalMap
+from .delineation import BASE_INTERVALS, IntervalMap
 from .vit import ForwardArtifacts, VitConfig
 
+COMPOSITE_INTERVALS: dict[str, tuple[str, ...]] = {
+    "P_R": ("P_WAVE", "PQ_SEGMENT"),
+    "S_T": ("ST_SEGMENT", "T_WAVE"),
+    "Q_T": ("QRS", "ST_SEGMENT", "T_WAVE"),
+}
 # candidate features for the top-3 table, with their base-partition constituents
 FEATURE_CANDIDATES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("R-Wave (QRS Complex)", ("QRS",)),
-    ("S-T Interval", ("ST_SEGMENT", "T_WAVE")),
-    ("P-R Interval", ("P_WAVE", "PQ_SEGMENT")),
-    ("Q-T Interval", ("QRS", "ST_SEGMENT", "T_WAVE")),
+    ("S-T Interval", COMPOSITE_INTERVALS["S_T"]),
+    ("P-R Interval", COMPOSITE_INTERVALS["P_R"]),
+    ("Q-T Interval", COMPOSITE_INTERVALS["Q_T"]),
 )
 
 
 @dataclass
 class AttributionReport:
     task: str
-    percentages: dict[str, float]            # base partition, sums to 100
+    percentages: dict[str, float]            # base partition, mean over windows, sums to 100
     composites: dict[str, float]             # derived sums
     top3: list[tuple[str, float]]
-    n_windows: int = 1
-    head_weights: list[float] | None = None
+    n_windows: int
+    head_weights: list[float]
 
 
 def extract_importance(artifacts: ForwardArtifacts) -> np.ndarray:
@@ -59,14 +65,13 @@ def head_weights(params: dict[str, Tensor], config: VitConfig) -> np.ndarray:
 
 
 def attribute(importance: np.ndarray, interval_map: IntervalMap,
-              config: VitConfig, task: str = "gender") -> AttributionReport:
-    """Distribute patch importance over the delineated base intervals.
+              patch_size: int) -> dict[str, float]:
+    """Distribute patch importance over the delineated base intervals, in percent.
 
     Each patch's importance is spread evenly over its samples; an interval's
     mass is the sum over its samples, across all beats, normalized to percent.
     """
-    p = config.patch_size
-    per_sample = np.repeat(np.asarray(importance, dtype=np.float64) / p, p)
+    per_sample = np.repeat(np.asarray(importance, dtype=np.float64) / patch_size, patch_size)
     mass = {name: 0.0 for name in BASE_INTERVALS}
     for beat in interval_map.beats:
         for name in BASE_INTERVALS:
@@ -77,15 +82,7 @@ def attribute(importance: np.ndarray, interval_map: IntervalMap,
     total = sum(mass.values())
     if total <= 0.0:
         raise ValueError("unattributable window: no importance mass over delineated beats")
-    pct = {name: 100.0 * m / total for name, m in mass.items()}
-    composites = {
-        name: sum(pct[part] for part in parts)
-        for name, parts in COMPOSITE_INTERVALS.items()
-    }
-    return AttributionReport(
-        task=task, percentages=pct, composites=composites,
-        top3=_top3(pct),
-    )
+    return {name: 100.0 * m / total for name, m in mass.items()}
 
 
 def _top3(pct: dict[str, float]) -> list[tuple[str, float]]:
@@ -107,13 +104,15 @@ def _top3(pct: dict[str, float]) -> list[tuple[str, float]]:
     return out
 
 
-def aggregate(reports: list[AttributionReport]) -> AttributionReport:
-    """Mean of per-window percentages."""
-    if not reports:
+def aggregate(percentages: list[dict[str, float]], task: str,
+              head_weights: list[float]) -> AttributionReport:
+    """The report over windows: the mean of their base-interval percentages, with
+    the composites and the top 3 derived from that mean."""
+    if not percentages:
         raise ValueError("nothing to aggregate")
-    w = 1.0 / len(reports)
+    w = 1.0 / len(percentages)
     pct = {
-        name: float(sum(w * r.percentages[name] for r in reports))
+        name: float(sum(w * window[name] for window in percentages))
         for name in BASE_INTERVALS
     }
     composites = {
@@ -121,8 +120,8 @@ def aggregate(reports: list[AttributionReport]) -> AttributionReport:
         for name, parts in COMPOSITE_INTERVALS.items()
     }
     return AttributionReport(
-        task=reports[0].task, percentages=pct, composites=composites,
-        top3=_top3(pct), n_windows=len(reports),
+        task=task, percentages=pct, composites=composites, top3=_top3(pct),
+        n_windows=len(percentages), head_weights=head_weights,
     )
 
 

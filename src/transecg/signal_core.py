@@ -1,6 +1,7 @@
 """Deterministic ECG preprocessing: filtering, resampling, normalization, windowing.
 
 Pipeline order: bandpass -> median -> resample -> window -> per-window min-max.
+A record's windows are the rows of one [n, seq_len] array.
 """
 
 from __future__ import annotations
@@ -59,19 +60,6 @@ class FilterSpec:
             raise ValueError(f"order must be a positive integer, got {self.order}")
 
 
-@dataclass
-class EcgWindow:
-    """A fixed-length normalized segment of a preprocessed record."""
-
-    subject_id: str
-    samples: np.ndarray
-    fs: float = DEFAULT_FS
-    source_offset: int = 0
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-
-
 def design_butterworth_bandpass(spec: FilterSpec) -> np.ndarray:
     """Design an order-`spec.order` Butterworth bandpass as second-order sections.
 
@@ -127,45 +115,37 @@ def resample(x: np.ndarray, fs_in: float, fs_out: float) -> np.ndarray:
 
 
 def minmax_normalize(x: np.ndarray) -> np.ndarray:
-    """Scale to [0, 1]; a constant input maps to all zeros."""
+    """Scale each row (the last axis) to [0, 1]; a constant row maps to all zeros."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("minmax_normalize: input is empty")
     if not np.all(np.isfinite(x)):
         raise ValueError("minmax_normalize: input contains non-finite values")
-    lo, hi = x.min(), x.max()
-    if hi == lo:
-        return np.zeros_like(x)
-    return (x - lo) / (hi - lo)
+    lo = x.min(axis=-1, keepdims=True)
+    span = x.max(axis=-1, keepdims=True) - lo
+    return (x - lo) / np.where(span == 0.0, 1.0, span)
 
 
 def window(
-    record: EcgRecord,
+    x: np.ndarray,
     seq_len: int = DEFAULT_SEQ_LEN,
     stride: int | None = None,
-) -> list[EcgWindow]:
-    """Cut a (filtered, resampled) record into fixed-length min-max normalized windows.
+) -> np.ndarray:
+    """Cut a filtered, resampled trace into min-max normalized windows.
 
-    The trailing partial window is dropped. A record too short for a single
-    window yields an empty list and is logged as excluded.
+    Returns a [n, seq_len] array whose row i holds samples
+    [i*stride, i*stride + seq_len). The trailing partial window is dropped, so
+    a trace shorter than seq_len gives no rows.
     """
     if seq_len <= 0:
         raise ValueError("seq_len must be positive")
     stride = seq_len if stride is None else stride
     if stride <= 0:
         raise ValueError("stride must be positive")
-    n = record.samples.size
-    if n < seq_len:
-        logger.warning(
-            "record %s excluded: %d samples < window length %d",
-            record.subject_id, n, seq_len,
-        )
-        return []
-    out = []
-    for off in range(0, n - seq_len + 1, stride):
-        seg = minmax_normalize(record.samples[off:off + seq_len])
-        out.append(EcgWindow(record.subject_id, seg, fs=record.fs, source_offset=off))
-    return out
+    x = np.asarray(x, dtype=np.float64)
+    if x.size < seq_len:
+        return np.empty((0, seq_len))
+    return minmax_normalize(np.lib.stride_tricks.sliding_window_view(x, seq_len)[::stride])
 
 
 def preprocess_record(
@@ -175,15 +155,23 @@ def preprocess_record(
     median_kernel: int = 5,
     seq_len: int = DEFAULT_SEQ_LEN,
     stride: int | None = None,
-) -> list[EcgWindow]:
-    """Full preprocessing chain: bandpass, median, resample, window, normalize."""
+) -> tuple[range, np.ndarray]:
+    """Full preprocessing chain: bandpass, median, resample, window, normalize.
+
+    Returns (offsets, windows): row i of the [n, seq_len] windows starts at
+    resampled sample offsets[i]. A record too short for one window gives no
+    rows and is logged as excluded.
+    """
     spec = spec or FilterSpec(fs=record.fs)
     sos = design_butterworth_bandpass(spec)
     x = filtfilt(sos, record.samples)
     x = median_filter(x, median_kernel)
     x = resample(x, record.fs, fs_target)
-    clean = EcgRecord(
-        record.subject_id, x, fs_target,
-        gender_label=record.gender_label, age_years=record.age_years,
-    )
-    return window(clean, seq_len=seq_len, stride=stride)
+    stride = seq_len if stride is None else stride
+    windows = window(x, seq_len=seq_len, stride=stride)
+    if not len(windows):
+        logger.warning(
+            "record %s excluded: %d samples < window length %d",
+            record.subject_id, x.size, seq_len,
+        )
+    return range(0, len(windows) * stride, stride), windows

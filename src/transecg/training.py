@@ -37,8 +37,12 @@ class TrainHParams:
     scheduler_patience: int = 5
 
     def validate(self) -> None:
-        if self.lr < 0:
-            raise ValueError("hyperparameter 'lr' must be non-negative")
+        for name in ("lr", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"hyperparameter {name!r} must be non-negative")
+        if not 0 < self.scheduler_factor <= 1:
+            raise ValueError(f"hyperparameter 'scheduler_factor' must be in (0, 1], "
+                             f"got {self.scheduler_factor}")
         for name in ("batch_size", "max_epochs", "early_stop_patience", "scheduler_patience"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"hyperparameter {name!r} must be positive")

@@ -183,7 +183,7 @@ def test_05_delineation_accuracy():
         worst = max(worst, abs(f.q - beat.q), abs(f.s - beat.s))
         checked += 1
 
-    imap = delineation.intervals(fids, record.fs)
+    imap = delineation.intervals(fids)
     disjoint = True
     for beat in imap.beats:
         spans = sorted(beat[name] for name in BASE_INTERVALS if name in beat)
@@ -244,11 +244,11 @@ def test_07_identity_task():
             bpm=60.0, duration_s=48.0, fs=250.0, waves=waves,
             noise_std=0.01, seed=i, subject_id=f"S{i:03d}",
         ))
-        for w in signal_core.window(record, seq_len=cfg.seq_len):
-            xs.append(w.samples)
-            subject_ids.append(w.subject_id)
-            offsets.append(w.source_offset)
-            y.append(i)
+        rows = signal_core.window(record.samples, seq_len=cfg.seq_len)
+        xs.extend(rows)
+        subject_ids += [record.subject_id] * len(rows)
+        offsets += range(0, len(rows) * cfg.seq_len, cfg.seq_len)
+        y += [i] * len(rows)
     x, y = np.array(xs), np.array(y)
     plan = training.make_split(subject_ids, offsets, Task.PARTICIPANT_ID, seed=0)
     hp = TrainHParams(lr=1e-2, batch_size=8, max_epochs=100, weight_decay=0.0,
@@ -269,9 +269,11 @@ def test_08_attribution_arithmetic():
         "P_WAVE": (0, 5), "PQ_SEGMENT": (5, 10), "QRS": (10, 20),
         "ST_SEGMENT": (20, 25), "T_WAVE": (25, 35), "TQ_BASELINE": (35, 40),
     }])
-    focused = explain.attribute(np.array([0.0, 0.7, 0.0, 0.0]), imap, cfg)
-    uniform = explain.attribute(np.full(4, 0.25), imap, cfg)
-    rng_rep = explain.attribute(np.random.default_rng(0).uniform(size=4), imap, cfg)
+    focused, uniform, rng_rep = (
+        explain.aggregate([explain.attribute(importance, imap, cfg.patch_size)], "gender", [1.0])
+        for importance in (np.array([0.0, 0.7, 0.0, 0.0]), np.full(4, 0.25),
+                           np.random.default_rng(0).uniform(size=4))
+    )
 
     ok = focused.percentages["QRS"] == pytest.approx(100.0)
     ok &= focused.top3[0][0] == "R-Wave (QRS Complex)"

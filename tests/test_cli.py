@@ -71,6 +71,15 @@ def pipeline(tmp_path_factory):
     return workdir
 
 
+@pytest.fixture(scope="module")
+def short_store(tmp_path_factory):
+    """A window store preprocessed at seq_len 500, half the length TINY_ARGS train at."""
+    workdir = tmp_path_factory.mktemp("short_store")
+    for command in ("synth", "preprocess"):
+        assert run(command, workdir, extra=["--set", "seq_len=500"]) == 0
+    return workdir
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cli.RunConfig().validate()
@@ -300,6 +309,17 @@ class TestErrors:
         (["test_frac=0", "train_frac=0.85"], "test_frac"),
         (["val_frac=1.5"], "val_frac"),
         (["explain_windows=0"], "explain_windows"),
+        (["scheduler_factor=-3", "scheduler_patience=1"], "scheduler_factor"),
+        (["scheduler_factor=1.5"], "scheduler_factor"),
+        (["weight_decay=-0.1"], "weight_decay"),
+        (["median_kernel=4"], "median_kernel"),
+        (["median_kernel=-1"], "median_kernel"),
+        (["stride=-1"], "stride"),
+        (["synth_duration_s=-1"], "synth_duration_s"),
+        (["synth_duration_s=0"], "synth_duration_s"),
+        (["synth_noise_std=-0.1"], "synth_noise_std"),
+        (["synth_bpm=210"], "synth_bpm"),
+        (["synth_bpm=20"], "synth_bpm"),
     ])
     def test_bad_config_exits_naming_field(self, tmp_path, capsys, overrides, field):
         extra = [arg for item in overrides for arg in ("--set", item)]
@@ -377,6 +397,17 @@ class TestErrors:
         assert run(command, pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and "'vocab'" in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "explain"])
+    def test_store_seq_len_mismatch_refused(self, pipeline, short_store, capsys, command):
+        # train compares with the config's seq_len, evaluate and explain with the checkpoint's
+        ckpt = pipeline / "model.ckpt"
+        extra = [] if command == "train" else ["--set", f"checkpoint={ckpt}"]
+        assert run(command, short_store, extra=extra) == 1
+        err = capsys.readouterr().err
+        assert str(short_store / "windows.json") in err
+        assert "'seq_len' is 500" in err and "seq_len 1000" in err
+        assert (str(ckpt) in err) == (command != "train")
 
     def test_store_fs_mismatch_refused(self, pipeline, capsys):
         assert run("explain", pipeline, extra=["--set", "fs_target=500"]) == 1

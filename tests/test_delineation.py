@@ -121,7 +121,7 @@ class TestIntervals:
         record, _ = synth(60.0)
         peaks = dl.pan_tompkins(record.samples, FS)
         fids = dl.delineate(record.samples, peaks, FS)
-        return dl.intervals(fids, FS)
+        return dl.intervals(fids)
 
     def test_base_ranges_disjoint_and_ordered(self):
         imap = self._delineated()
@@ -131,40 +131,28 @@ class TestIntervals:
             for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
                 assert hi <= lo
 
-    def test_composites_are_unions(self):
-        imap = self._delineated()
-        for beat in imap.beats:
-            for name, parts in dl.COMPOSITE_INTERVALS.items():
-                if all(p in beat for p in parts):
-                    assert beat[name] == (beat[parts[0]][0], beat[parts[-1]][1])
-                    length = sum(beat[p][1] - beat[p][0] for p in parts)
-                    assert beat[name][1] - beat[name][0] == length
-
     def test_missing_t_drops_st_and_qt(self):
         fid = dl.BeatFiducials(r=500, q=490, s=510, p_on=430, p_off=470)
-        imap = dl.intervals([fid], FS)
-        beat = imap.beats[0]
-        assert "ST_SEGMENT" not in beat and "T_WAVE" not in beat
-        assert "Q_T" not in beat and "S_T" not in beat
-        assert "QRS" in beat and "P_R" in beat
+        imap = dl.intervals([fid])
+        assert imap.beats[0] == {"P_WAVE": (430, 470), "PQ_SEGMENT": (470, 490), "QRS": (490, 511)}
 
     def test_single_beat_no_tq_baseline(self):
         record, _ = synth(60.0)
         peaks = dl.pan_tompkins(record.samples, FS)
         fids = dl.delineate(record.samples, peaks, FS)
-        imap = dl.intervals(fids, FS)
+        imap = dl.intervals(fids)
         assert "TQ_BASELINE" not in imap.beats[-1]
 
     def test_disordered_beat_skipped(self):
         bad = dl.BeatFiducials(r=500, q=505, s=510)  # q after r
         good = dl.BeatFiducials(r=1000, q=990, s=1010)
-        imap = dl.intervals([bad, good], FS)
+        imap = dl.intervals([bad, good])
         assert len(imap.beats) == 1
 
     def test_amplitude_scale_invariance(self):
         record, _ = synth(60.0)
         x = record.samples
         peaks = dl.pan_tompkins(x, FS)
-        a = dl.intervals(dl.delineate(x, peaks, FS), FS)
-        b = dl.intervals(dl.delineate(7.5 * x, peaks, FS), FS)
+        a = dl.intervals(dl.delineate(x, peaks, FS))
+        b = dl.intervals(dl.delineate(7.5 * x, peaks, FS))
         assert a.beats == b.beats

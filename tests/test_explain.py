@@ -104,37 +104,42 @@ class TestAttribute:
             "ST_SEGMENT": (20, 25), "T_WAVE": (25, 35), "TQ_BASELINE": (35, 40),
         }])
 
+    @classmethod
+    def _attribute(cls, importance):
+        return explain.attribute(importance, cls._interval_map(), TINY.patch_size)
+
+    @classmethod
+    def _report(cls, importance):
+        return explain.aggregate([cls._attribute(importance)], "gender", [1.0, 0.5])
+
     def test_importance_inside_qrs_gives_100(self):
         imp = np.zeros(4)
         imp[1] = 0.7
-        rep = explain.attribute(imp, self._interval_map(), TINY)
-        assert rep.percentages["QRS"] == pytest.approx(100.0)
-        assert rep.top3[0] == ("R-Wave (QRS Complex)", pytest.approx(100.0))
+        assert self._attribute(imp)["QRS"] == pytest.approx(100.0)
+        assert self._report(imp).top3[0] == ("R-Wave (QRS Complex)", pytest.approx(100.0))
 
     def test_uniform_importance_matches_lengths(self):
-        imp = np.full(4, 0.2)
-        rep = explain.attribute(imp, self._interval_map(), TINY)
+        pct = self._attribute(np.full(4, 0.2))
         # all 40 samples covered, so percent == interval length / 40
-        assert rep.percentages["QRS"] == pytest.approx(25.0)
-        assert rep.percentages["T_WAVE"] == pytest.approx(25.0)
-        assert rep.percentages["P_WAVE"] == pytest.approx(12.5)
+        assert pct["QRS"] == pytest.approx(25.0)
+        assert pct["T_WAVE"] == pytest.approx(25.0)
+        assert pct["P_WAVE"] == pytest.approx(12.5)
 
     def test_base_partition_sums_to_100(self):
         rng = np.random.default_rng(0)
-        imp = rng.uniform(size=4)
-        rep = explain.attribute(imp, self._interval_map(), TINY)
-        assert sum(rep.percentages.values()) == pytest.approx(100.0, abs=0.01)
+        pct = self._attribute(rng.uniform(size=4))
+        assert list(pct) == list(BASE_INTERVALS)
+        assert sum(pct.values()) == pytest.approx(100.0, abs=0.01)
 
     def test_scale_invariance(self):
         imp = np.random.default_rng(1).uniform(size=4)
-        a = explain.attribute(imp, self._interval_map(), TINY)
-        b = explain.attribute(17.0 * imp, self._interval_map(), TINY)
+        a = self._attribute(imp)
+        b = self._attribute(17.0 * imp)
         for name in BASE_INTERVALS:
-            assert a.percentages[name] == pytest.approx(b.percentages[name], rel=1e-12)
+            assert a[name] == pytest.approx(b[name], rel=1e-12)
 
     def test_composites_are_sums(self):
-        imp = np.random.default_rng(2).uniform(size=4)
-        rep = explain.attribute(imp, self._interval_map(), TINY)
+        rep = self._report(np.random.default_rng(2).uniform(size=4))
         p = rep.percentages
         assert rep.composites["P_R"] == pytest.approx(p["P_WAVE"] + p["PQ_SEGMENT"])
         assert rep.composites["S_T"] == pytest.approx(p["ST_SEGMENT"] + p["T_WAVE"])
@@ -142,8 +147,7 @@ class TestAttribute:
             p["QRS"] + p["ST_SEGMENT"] + p["T_WAVE"])
 
     def test_top3_nonincreasing_and_disjoint(self):
-        imp = np.random.default_rng(3).uniform(size=4)
-        rep = explain.attribute(imp, self._interval_map(), TINY)
+        rep = self._report(np.random.default_rng(3).uniform(size=4))
         values = [v for _, v in rep.top3]
         assert values == sorted(values, reverse=True)
         names = [n for n, _ in rep.top3]
@@ -153,19 +157,25 @@ class TestAttribute:
 
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError, match="unattributable"):
-            explain.attribute(np.zeros(4), self._interval_map(), TINY)
+            self._attribute(np.zeros(4))
 
     def test_aggregate_weighted_mean(self):
-        reps = []
+        windows = []
         for qrs_pct in (100.0, 40.0, 10.0):
             pct = {name: 0.0 for name in BASE_INTERVALS}
             pct["QRS"] = qrs_pct
             pct["T_WAVE"] = 100.0 - qrs_pct
-            reps.append(explain.AttributionReport(
-                task="gender", percentages=pct, composites={}, top3=[]))
-        agg = explain.aggregate(reps)
+            windows.append(pct)
+        agg = explain.aggregate(windows, "age", [1.0, 0.5])
         assert agg.percentages["QRS"] == pytest.approx(50.0)
+        assert agg.composites["Q_T"] == pytest.approx(100.0)
+        assert agg.top3[0] == ("Q-T Interval", pytest.approx(100.0))
         assert agg.n_windows == 3
+        assert agg.task == "age" and agg.head_weights == [1.0, 0.5]
+
+    def test_aggregate_of_nothing_rejected(self):
+        with pytest.raises(ValueError, match="nothing to aggregate"):
+            explain.aggregate([], "gender", [1.0])
 
 
 def overlap_masses(importance, interval_map, patch_size):
@@ -208,11 +218,11 @@ def test_attribute_matches_overlap_oracle(case):
     total = sum(mass.values())
     if total <= 0.0:
         with pytest.raises(ValueError, match="unattributable"):
-            explain.attribute(importance, interval_map, config)
+            explain.attribute(importance, interval_map, config.patch_size)
         return
-    rep = explain.attribute(importance, interval_map, config)
+    pct = explain.attribute(importance, interval_map, config.patch_size)
     for name in BASE_INTERVALS:
-        assert rep.percentages[name] == pytest.approx(100.0 * mass[name] / total,
+        assert pct[name] == pytest.approx(100.0 * mass[name] / total,
                                                       rel=1e-12, abs=0.0)
 
 
@@ -222,8 +232,8 @@ class TestEmitReport:
         rng = np.random.default_rng(0)
         imp = rng.uniform(size=(TINY.n_heads, TINY.n_patches))
         interval_map = TestAttribute._interval_map()
-        rep = explain.attribute(imp.mean(axis=0), interval_map, TINY)
-        rep.head_weights = [1.0, 0.5]
+        pct = explain.attribute(imp.mean(axis=0), interval_map, TINY.patch_size)
+        rep = explain.aggregate([pct], "gender", [1.0, 0.5])
         window = rng.uniform(size=TINY.seq_len)
         paths = explain.emit_report(rep, imp, window, tmp_path)
         return rep, imp, paths

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from transecg import signal_core as sc
 
@@ -141,27 +143,61 @@ class TestNormalize:
 
 
 class TestWindow:
-    @staticmethod
-    def _record(n):
-        return sc.EcgRecord("s1", np.arange(float(n)), 250.0)
-
     def test_two_windows(self):
-        wins = sc.window(self._record(5000), 2000, 2000)
-        assert [w.source_offset for w in wins] == [0, 2000]
+        x = np.arange(5000.0)
+        wins = sc.window(x, 2000, 2000)
+        assert wins.shape == (2, 2000)
+        assert np.array_equal(wins[1], sc.minmax_normalize(x[2000:4000]))
 
     def test_short_record_excluded(self):
-        assert sc.window(self._record(1999), 2000) == []
+        assert sc.window(np.arange(1999.0), 2000).shape == (0, 2000)
 
     def test_exact_length_single_window(self):
-        assert len(sc.window(self._record(2000), 2000)) == 1
+        assert len(sc.window(np.arange(2000.0), 2000)) == 1
 
     @pytest.mark.parametrize("n,seq,stride", [(7000, 2000, 1000), (6000, 2000, 2000), (2500, 500, 250)])
     def test_window_count_formula(self, n, seq, stride):
-        wins = sc.window(self._record(n), seq, stride)
+        wins = sc.window(np.arange(float(n)), seq, stride)
         assert len(wins) == (n - seq) // stride + 1
 
     def test_windows_normalized(self):
         rng = np.random.default_rng(5)
-        rec = sc.EcgRecord("s1", rng.normal(size=4000), 250.0)
-        for w in sc.window(rec, 2000):
-            assert w.samples.min() == 0.0 and w.samples.max() == 1.0
+        for w in sc.window(rng.normal(size=4000), 2000):
+            assert w.min() == 0.0 and w.max() == 1.0
+
+
+def per_window_loop(x, seq_len, stride):
+    """Reference windowing: normalize one slice at a time."""
+    return [sc.minmax_normalize(x[o:o + seq_len]) for o in range(0, x.size - seq_len + 1, stride)]
+
+
+@st.composite
+def signals(draw):
+    """Traces built from constant runs; runs of length 1 make them vary."""
+    runs = draw(st.lists(st.tuples(st.floats(-1e6, 1e6), st.integers(1, 12)), max_size=8))
+    return np.array([value for value, length in runs for _ in range(length)], dtype=np.float64)
+
+
+@given(x=signals(), seq_len=st.integers(1, 20), stride=st.integers(1, 25))
+def test_window_matches_per_window_loop(x, seq_len, stride):
+    want = np.array(per_window_loop(x, seq_len, stride), dtype=np.float64).reshape(-1, seq_len)
+    got = sc.window(x, seq_len, stride)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestPreprocessRecord:
+    @staticmethod
+    def _record(n):
+        return sc.EcgRecord("s1", np.random.default_rng(6).normal(size=n), 250.0)
+
+    @pytest.mark.parametrize("stride,offsets", [(None, [0, 2000]), (1000, [0, 1000, 2000, 3000])])
+    def test_offsets_match_rows(self, stride, offsets):
+        got, wins = sc.preprocess_record(self._record(5000), stride=stride)
+        assert list(got) == offsets
+        assert wins.shape == (len(offsets), 2000)
+
+    def test_short_record_logged_as_excluded(self, caplog):
+        offsets, wins = sc.preprocess_record(self._record(1999))
+        assert list(offsets) == [] and wins.shape == (0, 2000)
+        assert "record s1 excluded" in caplog.text
