@@ -73,6 +73,9 @@ class RunConfig:
         for name in ("fs_target", "synth_subjects", "synth_duration_s", "explain_windows"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name!r} must be positive")
+        if round(self.synth_duration_s * self.fs_target) < 1:
+            raise ValueError(f"config field 'synth_duration_s' must give at least one sample "
+                             f"at fs_target {self.fs_target} Hz, got {self.synth_duration_s} s")
         for name in ("stride", "synth_noise_std"):
             if getattr(self, name) < 0:
                 raise ValueError(f"config field {name!r} must be non-negative")
@@ -185,32 +188,44 @@ def cmd_synth(cfg: RunConfig) -> str:
 
 
 def cmd_preprocess(cfg: RunConfig) -> str:
-    """Filter, resample, window and normalize every record into the window store."""
+    """Filter, resample, window and normalize every record into the window store.
+
+    Each record's windows are appended to windows.bin.part as they are made; the
+    part file replaces windows.bin only when every record was read and at least
+    one window made, so a failed run leaves the previous store as it was."""
     workdir = Path(cfg.workdir)
     manifest_path = Path(cfg.manifest) if cfg.manifest else workdir / "data" / "manifest.json"
-    windows = []
-    index = []
-    for i, entry in enumerate(data_io.load_manifest(manifest_path)):
-        try:
-            spec = signal_core.FilterSpec(cfg.low_hz, cfg.high_hz, cfg.filter_order, entry.fs)
-        except ValueError as e:
-            raise ValueError(f"{manifest_path}: record {i} field 'fs': {e}") from None
-        record = data_io.load_record(entry)
-        offsets, rows = signal_core.preprocess_record(
-            record, spec=spec, fs_target=cfg.fs_target,
-            median_kernel=cfg.median_kernel, seq_len=cfg.seq_len,
-            stride=cfg.stride or None,
-        )
-        windows.append(rows)
-        index += [{
-            "subject_id": record.subject_id, "source_offset": offset,
-            "gender": record.gender_label, "age_years": record.age_years,
-        } for offset in offsets]
-
+    entries = data_io.load_manifest(manifest_path)
     workdir.mkdir(parents=True, exist_ok=True)
-    with open(workdir / STORE_BIN, "wb") as f:
-        for rows in windows:
-            f.write(rows.astype("<f8", copy=False).tobytes())
+    part = workdir / f"{STORE_BIN}.part"
+    index = []
+    excluded = 0
+    try:
+        with open(part, "wb") as f:
+            for i, entry in enumerate(entries):
+                try:
+                    spec = signal_core.FilterSpec(cfg.low_hz, cfg.high_hz, cfg.filter_order,
+                                                  entry.fs)
+                except ValueError as e:
+                    raise ValueError(f"{manifest_path}: record {i} field 'fs': {e}") from None
+                record = data_io.load_record(entry)
+                offsets, rows = signal_core.preprocess_record(
+                    record, spec=spec, fs_target=cfg.fs_target,
+                    median_kernel=cfg.median_kernel, seq_len=cfg.seq_len,
+                    stride=cfg.stride or None, source=entry.csv_path,
+                )
+                f.write(rows.astype("<f8", copy=False).tobytes())
+                excluded += not len(rows)
+                index += [{
+                    "subject_id": record.subject_id, "source_offset": offset,
+                    "gender": record.gender_label, "age_years": record.age_years,
+                } for offset in offsets]
+        if not index:
+            raise ValueError(f"{manifest_path}: no window of seq_len {cfg.seq_len} samples: "
+                             f"{excluded} of {len(entries)} records excluded; no store written")
+        part.replace(workdir / STORE_BIN)
+    finally:
+        part.unlink(missing_ok=True)
     _json_dump(workdir / STORE_INDEX, {
         "seq_len": cfg.seq_len, "fs": cfg.fs_target, "windows": index,
     })
@@ -254,10 +269,14 @@ def load_store(
     kept = [i for i, label in enumerate(labels) if label is not None]
     x = np.fromfile(bin_path, dtype="<f8").reshape(len(rows), seq_len)[kept]
     y = np.asarray([labels[i] for i in kept], dtype=np.int64)
-    plan = training.make_split(
-        [subject_ids[i] for i in kept], [offsets[i] for i in kept],
-        task, cfg.seed, fractions=(cfg.train_frac, cfg.val_frac, cfg.test_frac),
-    )
+    try:
+        plan = training.make_split(
+            [subject_ids[i] for i in kept], [offsets[i] for i in kept],
+            task, cfg.seed, fractions=(cfg.train_frac, cfg.val_frac, cfg.test_frac),
+        )
+    except ValueError as e:
+        raise ValueError(f"{index_path}: {len(kept)} of {len(rows)} windows are labelled "
+                         f"for task {task.value}: {e}") from None
     return x, y, vocab, plan
 
 

@@ -6,6 +6,7 @@ import contextlib
 import json
 import logging
 import reprlib
+import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -107,10 +108,42 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     return entries
 
 
-def load_record(entry: ManifestEntry) -> EcgRecord:
-    """Load one CSV trace (one amplitude per line, optional 'amplitude' header)."""
+# control bytes np.loadtxt may take as a line or field break where text-mode reading does not
+_LOADTXT_ONLY_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _is_plain(path: Path) -> bool:
+    """Whether the file is ASCII and holds none of _LOADTXT_ONLY_BREAKS."""
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 20):
+            if not chunk.isascii() or any(b in chunk for b in _LOADTXT_ONLY_BREAKS):
+                return False
+    return True
+
+
+def _parse_plain(path: Path) -> np.ndarray | None:
+    """A plain file's samples by one np.loadtxt call, or None: the file is not
+    plain, or loadtxt does not read it as one column of floats."""
+    if not _is_plain(path):
+        return None
+    with open(path, encoding="ascii") as f:
+        header = f.readline().strip().lower() == "amplitude"
+    try:
+        with warnings.catch_warnings():
+            # a file without samples is refused by EcgRecord, which names it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(path, dtype=np.float64, comments=None, quotechar=None,
+                                ndmin=2, skiprows=int(header))
+    except ValueError:
+        return None
+    return values[:, 0] if values.shape[1] == 1 else None
+
+
+def _parse_lines(path: Path) -> list[float]:
+    """The samples line by line: the reference reader, and the only one that
+    names the line it cannot read."""
     values = []
-    with open(entry.csv_path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             tok = line.strip()
             if not tok:
@@ -121,12 +154,25 @@ def load_record(entry: ManifestEntry) -> EcgRecord:
                 values.append(float(tok))
             except ValueError as e:
                 raise ValueError(
-                    f"{entry.csv_path}: non-numeric sample {tok!r} at line {lineno}"
+                    f"{path}: non-numeric sample {tok!r} at line {lineno}"
                 ) from e
+    return values
+
+
+def load_record(entry: ManifestEntry) -> EcgRecord:
+    """Load one CSV trace: one sample per line as Python's float reads it, blank
+    lines skipped, and an optional 'amplitude' header on the first line.
+
+    A plain file (ASCII without _LOADTXT_ONLY_BREAKS) is parsed by np.loadtxt
+    in C; any other file, and any that loadtxt does not read as one column, by
+    the line loop. Both give the same samples."""
+    samples = _parse_plain(entry.csv_path)
+    if samples is None:
+        samples = _parse_lines(entry.csv_path)
     try:
         return EcgRecord(
             subject_id=entry.subject_id,
-            samples=np.array(values, dtype=np.float64),
+            samples=samples,
             fs=entry.fs,
             gender_label=entry.gender,
             age_years=entry.age_years,
@@ -139,8 +185,7 @@ def save_record_csv(path: str | Path, samples: np.ndarray) -> None:
     """Write samples one-per-line; repr round-trips float64 exactly."""
     with open(path, "w", encoding="utf-8") as f:
         f.write("amplitude\n")
-        for v in np.asarray(samples, dtype=np.float64):
-            f.write(f"{float(v)!r}\n")
+        f.write("".join(f"{v!r}\n" for v in np.asarray(samples, dtype=np.float64).tolist()))
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,12 @@ def sos_gain(sos: np.ndarray, freq_hz: float, fs: float) -> float:
     return float(np.abs(h[0]))
 
 
+def filter_pad_length(sos: np.ndarray) -> int:
+    """Samples filtfilt pads each edge with (SciPy's default); the input must be longer."""
+    ntaps = 2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
+    return 3 * int(ntaps)
+
+
 def filtfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Zero-phase forward-backward application of a biquad cascade."""
     x = np.asarray(x, dtype=np.float64)
@@ -86,7 +92,7 @@ def filtfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ValueError("filtfilt: input is empty")
     if not np.all(np.isfinite(x)):
         raise ValueError("filtfilt: input contains non-finite values")
-    return sps.sosfiltfilt(sos, x)
+    return sps.sosfiltfilt(sos, x, padlen=filter_pad_length(sos))
 
 
 def median_filter(x: np.ndarray, kernel: int) -> np.ndarray:
@@ -155,23 +161,28 @@ def preprocess_record(
     median_kernel: int = 5,
     seq_len: int = DEFAULT_SEQ_LEN,
     stride: int | None = None,
+    source: object = None,
 ) -> tuple[range, np.ndarray]:
     """Full preprocessing chain: bandpass, median, resample, window, normalize.
 
     Returns (offsets, windows): row i of the [n, seq_len] windows starts at
-    resampled sample offsets[i]. A record too short for one window gives no
-    rows and is logged as excluded.
+    resampled sample offsets[i]. A record too short to filter or for one
+    window gives no rows and is logged as excluded, with `source`, where it
+    was read from, if given.
     """
     spec = spec or FilterSpec(fs=record.fs)
     sos = design_butterworth_bandpass(spec)
+    name = record.subject_id if source is None else f"{record.subject_id} ({source})"
+    pad = filter_pad_length(sos)
+    if record.samples.size <= pad:
+        logger.warning("record %s excluded: %d samples, too few to filter (needs more than %d)",
+                       name, record.samples.size, pad)
+        return range(0), np.empty((0, seq_len))
     x = filtfilt(sos, record.samples)
     x = median_filter(x, median_kernel)
     x = resample(x, record.fs, fs_target)
     stride = seq_len if stride is None else stride
     windows = window(x, seq_len=seq_len, stride=stride)
     if not len(windows):
-        logger.warning(
-            "record %s excluded: %d samples < window length %d",
-            record.subject_id, x.size, seq_len,
-        )
+        logger.warning("record %s excluded: %d samples < window length %d", name, x.size, seq_len)
     return range(0, len(windows) * stride, stride), windows

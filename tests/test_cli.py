@@ -291,6 +291,55 @@ class TestErrors:
         err = capsys.readouterr().err
         assert str(csv) in err and "finite" in err
 
+    def test_record_too_short_to_filter_is_excluded(self, tmp_path, caplog):
+        (tmp_path / "short.csv").write_text("amplitude\n0.0\n1.0\n0.5\n")
+        record, _ = data_io.synthesize(data_io.SyntheticEcgSpec(duration_s=16.0))
+        data_io.save_record_csv(tmp_path / "long.csv", record.samples)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"records": [
+            {"subject_id": "S1", "csv": "short.csv", "fs": 250.0},
+            {"subject_id": "S2", "csv": "long.csv", "fs": 250.0}]}))
+        assert run("preprocess", tmp_path, extra=["--set", f"manifest={manifest}"]) == 0
+        index = json.loads((tmp_path / "windows.json").read_text())
+        assert [row["subject_id"] for row in index["windows"]] == ["S2"] * 4
+        assert f"record S1 ({tmp_path / 'short.csv'}) excluded" in caplog.text
+
+    def test_preprocess_storing_no_window_exits_writing_no_store(self, tmp_path, capsys):
+        short = ["--set", "synth_subjects=2", "--set", "synth_duration_s=4",
+                 "--set", "seq_len=2000"]
+        assert run("synth", tmp_path, extra=short) == 0
+        assert run("preprocess", tmp_path, extra=short) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "data" / "manifest.json") in err
+        assert "seq_len 2000" in err and "2 of 2 records excluded" in err
+        assert not list(tmp_path.glob("windows.*"))
+
+    def test_unsplittable_store_exits_naming_index_and_count(self, tmp_path, capsys):
+        few = ["--set", "synth_subjects=2", "--set", "synth_duration_s=4"]
+        for command in ("synth", "preprocess"):
+            assert run(command, tmp_path, extra=few) == 0
+        assert run("train", tmp_path, extra=few) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "windows.json") in err and "2 of 2 windows are labelled" in err
+
+    def test_failed_preprocess_keeps_previous_store(self, tmp_path, capsys):
+        record, _ = data_io.synthesize(data_io.SyntheticEcgSpec(duration_s=16.0))
+        data_io.save_record_csv(tmp_path / "good.csv", record.samples)
+        (tmp_path / "bad.csv").write_text("amplitude\n0.5\nbogus\n")
+        rows = [{"subject_id": "S1", "csv": "good.csv", "fs": 250.0},
+                {"subject_id": "S2", "csv": "bad.csv", "fs": 250.0}]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"records": rows[:1]}))
+        assert run("preprocess", tmp_path, extra=["--set", f"manifest={manifest}"]) == 0
+        assert not (tmp_path / "windows.bin.part").exists()
+        store = {name: (tmp_path / name).read_bytes() for name in ("windows.bin", "windows.json")}
+        manifest.write_text(json.dumps({"records": rows}))
+        assert run("preprocess", tmp_path, extra=["--set", f"manifest={manifest}"]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'bad.csv'}: non-numeric sample 'bogus' at line 3" in err
+        assert not (tmp_path / "windows.bin.part").exists()
+        assert {name: (tmp_path / name).read_bytes() for name in store} == store
+
     def test_malformed_set_rejected(self, tmp_path, capsys):
         code = cli.main(["synth", "--workdir", str(tmp_path), "--set", "oops"])
         assert code == 1
@@ -320,6 +369,7 @@ class TestErrors:
         (["synth_noise_std=-0.1"], "synth_noise_std"),
         (["synth_bpm=210"], "synth_bpm"),
         (["synth_bpm=20"], "synth_bpm"),
+        (["synth_duration_s=0.001"], "synth_duration_s"),
     ])
     def test_bad_config_exits_naming_field(self, tmp_path, capsys, overrides, field):
         extra = [arg for item in overrides for arg in ("--set", item)]

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from transecg import data_io
 from transecg.data_io import (
@@ -18,6 +20,7 @@ from transecg.data_io import (
     synthesize,
 )
 from transecg.delineation import delineate, pan_tompkins
+from transecg.signal_core import EcgRecord
 
 
 def write_manifest(tmp_path, records, dataset="toy"):
@@ -97,6 +100,95 @@ class TestRecordCsv:
         csv.write_text("0.5\n-0.25\n")
         rec = load_record(data_io.ManifestEntry("S1", csv, 250.0))
         assert np.array_equal(rec.samples, [0.5, -0.25])
+
+    def test_plain_file_skips_the_line_loop(self, tmp_path, monkeypatch):
+        csv = tmp_path / "trace.csv"
+        save_record_csv(csv, np.linspace(-1.0, 1.0, 11))
+        monkeypatch.setattr(data_io, "_parse_lines", lambda path: pytest.fail("line loop ran"))
+        rec = load_record(data_io.ManifestEntry("S1", csv, 250.0))
+        assert np.array_equal(rec.samples, np.linspace(-1.0, 1.0, 11))
+
+    def test_save_writes_repr_lines(self, tmp_path):
+        csv = tmp_path / "trace.csv"
+        save_record_csv(csv, np.array([0.1, -2.5e-300, 3.0]))
+        assert csv.read_text(encoding="utf-8") == "amplitude\n0.1\n-2.5e-300\n3.0\n"
+
+
+def line_loop_samples(entry):
+    """The reference reader: load_record's per-line loop and record checks, as
+    they were before plain files took the np.loadtxt parse."""
+    values = []
+    with open(entry.csv_path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            tok = line.strip()
+            if not tok:
+                continue
+            if lineno == 1 and tok.lower() == "amplitude":
+                continue
+            try:
+                values.append(float(tok))
+            except ValueError as e:
+                raise ValueError(
+                    f"{entry.csv_path}: non-numeric sample {tok!r} at line {lineno}"
+                ) from e
+    try:
+        return EcgRecord(entry.subject_id, np.array(values, dtype=np.float64), entry.fs).samples
+    except ValueError as e:
+        raise ValueError(f"{entry.csv_path}: {e}") from None
+
+
+def outcome(read, entry):
+    """The samples' bits, or the error message, of read(entry)."""
+    try:
+        return read(entry).view(np.uint64).tolist()
+    except ValueError as e:
+        return str(e)
+
+
+# characters that float() or np.loadtxt treat specially, and digits that only float() reads
+SEPARATORS = [" ", "\t", "\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+              "\xa0", "\u3000", "_", "#", ",", '"']
+CSV_PIECES = [*"0123456789.+-eE", "nan", "inf", "\n", "\r", *SEPARATORS,
+              *map(chr, range(0x660, 0x66A))]
+numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10**6, 10**6).map(str))
+separators = st.lists(st.sampled_from(SEPARATORS), max_size=2).map("".join)
+pieces = st.lists(st.sampled_from(CSV_PIECES), max_size=6).map("".join)
+# mostly lines that one reader or both can read: numbers padded or joined by separators
+csv_lines = st.one_of(numbers, st.tuples(separators, numbers, separators).map("".join),
+                      st.tuples(numbers, separators, numbers).map("".join), pieces)
+csv_texts = st.tuples(
+    st.sampled_from(["", "amplitude\n", "Amplitude\r\n", " amplitude\t\r", "amplitude"]),
+    st.lists(st.tuples(csv_lines, st.sampled_from(["\n", "\r\n", "\r", "\n\n"])), max_size=6),
+).map(lambda parts: parts[0] + "".join(line + end for line, end in parts[1]))
+
+
+@settings(deadline=None)
+@given(text=csv_texts)
+@example(text="amplitude\n1\x0b2\n")
+@example(text="1_000\n\u0661\u0662\n\xa01.5\n")
+@example(text="amplitude\n")
+def test_load_record_matches_line_loop(tmp_path_factory, text):
+    csv = tmp_path_factory.mktemp("csv") / "r.csv"
+    csv.write_bytes(text.encode("utf-8"))
+    entry = data_io.ManifestEntry("S1", csv, 250.0)
+    assert outcome(lambda e: load_record(e).samples, entry) == outcome(line_loop_samples, entry)
+
+
+finite_doubles = st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+).filter(np.isfinite)
+
+
+@settings(deadline=None)
+@given(values=st.lists(finite_doubles, min_size=1, max_size=50),
+       fmt=st.sampled_from([repr, "{:.17g}".format, "{:.6e}".format]))
+def test_written_doubles_parse_bit_identically(tmp_path_factory, values, fmt):
+    csv = tmp_path_factory.mktemp("csv") / "r.csv"
+    csv.write_text("amplitude\n" + "".join(f"{fmt(v)}\n" for v in values), encoding="utf-8")
+    got = load_record(data_io.ManifestEntry("S1", csv, 250.0)).samples
+    want = np.array([float(fmt(v)) for v in values], dtype=np.float64)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestSynthesize:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scipy import signal as sps
+
 from transecg import signal_core as sc
 
 
@@ -27,6 +29,15 @@ class TestFilterDesign:
     def test_high_edge_above_nyquist_rejected(self):
         with pytest.raises(ValueError):
             sc.FilterSpec(0.5, 130.0, 4, 250.0)
+
+    @pytest.mark.parametrize("order", [1, 2, 4, 7])
+    def test_pad_length_is_scipys_shortest_input(self, order):
+        sos = sc.design_butterworth_bandpass(sc.FilterSpec(0.5, 40.0, order, 250.0))
+        pad = sc.filter_pad_length(sos)
+        with pytest.raises(ValueError, match="padlen"):
+            sps.sosfiltfilt(sos, np.ones(pad))
+        x = np.random.default_rng(order).normal(size=pad + 1)
+        assert np.array_equal(sc.filtfilt(sos, x), sps.sosfiltfilt(sos, x))
 
 
 class TestFiltfilt:
@@ -201,3 +212,8 @@ class TestPreprocessRecord:
         offsets, wins = sc.preprocess_record(self._record(1999))
         assert list(offsets) == [] and wins.shape == (0, 2000)
         assert "record s1 excluded" in caplog.text
+
+    def test_record_too_short_to_filter_logged_as_excluded(self, caplog):
+        offsets, wins = sc.preprocess_record(self._record(27), seq_len=10, source="s1.csv")
+        assert list(offsets) == [] and wins.shape == (0, 10)
+        assert "record s1 (s1.csv) excluded: 27 samples, too few to filter" in caplog.text
