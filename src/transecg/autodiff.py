@@ -19,9 +19,8 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor", "recording", "backward",
-    "add", "mul", "scale", "matmul", "transpose", "reshape", "concat",
-    "index", "tsum", "tlog", "clip_min", "softmax", "layer_norm",
-    "attention", "gelu", "linear", "AdamW",
+    "add", "scale", "matmul", "transpose", "reshape", "concat",
+    "index", "softmax", "layer_norm", "attention", "gelu", "cross_entropy", "AdamW",
 ]
 
 _TAPE: list["Tensor"] = []
@@ -140,18 +139,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return _record(out, (a, b), bwd)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c)
 
@@ -249,38 +236,6 @@ def index(a: Tensor, key) -> Tensor:
             full = np.zeros_like(a.data)
             full[key] += g
             a.accumulate(full)
-
-    return _record(out, (a,), bwd)
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def bwd(g):
-        if a.requires_grad:
-            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-            a.accumulate(np.broadcast_to(gg, a.shape))
-
-    return _record(out, (a,), bwd)
-
-
-def tlog(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g / a.data)
-
-    return _record(out, (a,), bwd)
-
-
-def clip_min(a: Tensor, floor: float) -> Tensor:
-    """Lower clamp; gradient passes only where the input exceeds the floor."""
-    out = Tensor(np.maximum(a.data, floor))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * (a.data > floor))
 
     return _record(out, (a,), bwd)
 
@@ -405,8 +360,30 @@ def gelu(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    return matmul(x, w, b)
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean softmax cross-entropy of logits [B, K] against class labels, as one node:
+    mean(lse(l) - l[y]) over logits shifted by their row max, so no probability is
+    formed or floored. The backward is g (softmax(l) - onehot) / B, from the shifted
+    logits and lse alone."""
+    labels = np.asarray(labels, dtype=np.int64)
+    b, k = logits.shape
+    if labels.shape != (b,):
+        raise ValueError(f"labels shape {labels.shape} does not match batch {b}")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError("label out of range")
+    rows = np.arange(b)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    out = Tensor((lse[:, 0] - shifted[rows, labels]).mean())
+
+    def bwd(g):
+        if logits.requires_grad:
+            d = np.exp(shifted - lse)
+            d[rows, labels] -= 1.0
+            d *= g / b
+            logits.accumulate(d)
+
+    return _record(out, (logits,), bwd)
 
 
 # ---------------------------------------------------------------------------

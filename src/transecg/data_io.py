@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import logging
 import reprlib
@@ -141,21 +142,27 @@ def _parse_plain(path: Path) -> np.ndarray | None:
 
 def _parse_lines(path: Path) -> list[float]:
     """The samples line by line: the reference reader, and the only one that
-    names the line it cannot read."""
+    names the line it cannot read. The file must be UTF-8 throughout; lines
+    end at \\n, \\r\\n or \\r, as in a text-mode read."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text: {e.reason} {raw[e.start]:#04x} "
+                         f"at byte offset {e.start}") from None
     values = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            tok = line.strip()
-            if not tok:
-                continue
-            if lineno == 1 and tok.lower() == "amplitude":
-                continue
-            try:
-                values.append(float(tok))
-            except ValueError as e:
-                raise ValueError(
-                    f"{path}: non-numeric sample {tok!r} at line {lineno}"
-                ) from e
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        tok = line.strip()
+        if not tok:
+            continue
+        if lineno == 1 and tok.lower() == "amplitude":
+            continue
+        try:
+            values.append(float(tok))
+        except ValueError as e:
+            raise ValueError(
+                f"{path}: non-numeric sample {tok!r} at line {lineno}"
+            ) from e
     return values
 
 

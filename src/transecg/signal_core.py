@@ -166,9 +166,9 @@ def preprocess_record(
     """Full preprocessing chain: bandpass, median, resample, window, normalize.
 
     Returns (offsets, windows): row i of the [n, seq_len] windows starts at
-    resampled sample offsets[i]. A record too short to filter or for one
-    window gives no rows and is logged as excluded, with `source`, where it
-    was read from, if given.
+    resampled sample offsets[i]. A record too short to filter, for the median
+    kernel or for one window gives no rows and is logged as excluded, with
+    `source`, where it was read from, if given.
     """
     spec = spec or FilterSpec(fs=record.fs)
     sos = design_butterworth_bandpass(spec)
@@ -177,6 +177,10 @@ def preprocess_record(
     if record.samples.size <= pad:
         logger.warning("record %s excluded: %d samples, too few to filter (needs more than %d)",
                        name, record.samples.size, pad)
+        return range(0), np.empty((0, seq_len))
+    if record.samples.size < median_kernel:
+        logger.warning("record %s excluded: %d samples, fewer than median_kernel %d",
+                       name, record.samples.size, median_kernel)
         return range(0), np.empty((0, seq_len))
     x = filtfilt(sos, record.samples)
     x = median_filter(x, median_kernel)

@@ -1,4 +1,4 @@
-"""Dataset splitting, cross-entropy loss, the optimization loop, and evaluation metrics."""
+"""Dataset splitting, the optimization loop, and evaluation metrics."""
 
 from __future__ import annotations
 
@@ -10,11 +10,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import vit
-from .autodiff import AdamW, Tensor
+from .autodiff import AdamW, Tensor, cross_entropy
 from .data_io import Task
 
 logger = logging.getLogger(__name__)
 
+# the validation loss floors stored probabilities, which can underflow where logits cannot
 PROB_FLOOR = 1e-12
 
 
@@ -62,23 +63,6 @@ class TrainReport:
         }
 
 
-def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of the true classes.
-
-    Probabilities are floored at 1e-12 before the log to guard underflow.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    b, k = probs.shape
-    if labels.shape != (b,):
-        raise ValueError(f"labels shape {labels.shape} does not match batch {b}")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError("label out of range")
-    onehot = np.zeros((b, k))
-    onehot[np.arange(b), labels] = 1.0
-    picked = ad.mul(ad.tlog(ad.clip_min(probs, PROB_FLOOR)), Tensor(onehot))
-    return ad.scale(ad.tsum(picked), -1.0 / b)
-
-
 def make_split(subject_ids: Sequence[str], offsets: Sequence[int], task: Task, seed: int,
                fractions: tuple[float, float, float] = (0.70, 0.15, 0.15)) -> SplitPlan:
     """Deterministic 70/15/15 split of windows given by subject and source offset.
@@ -86,7 +70,8 @@ def make_split(subject_ids: Sequence[str], offsets: Sequence[int], task: Task, s
     Gender and age tasks split by participant (no subject in two lists); the
     participant-ID task splits within each participant, since every subject
     is itself a class. Input ordering does not matter: windows are sorted by
-    (subject_id, source_offset) before the seeded shuffle.
+    (subject_id, source_offset) before the seeded shuffle. A split with no train
+    or no validation window is refused, naming the fraction to raise.
     """
     if len(subject_ids) < 3:
         raise ValueError("need at least 3 windows to split")
@@ -110,7 +95,8 @@ def make_split(subject_ids: Sequence[str], offsets: Sequence[int], task: Task, s
             val.extend(int(i) for i in idx[:n_val])
             test.extend(int(i) for i in idx[n_val:n_val + n_test])
             train.extend(int(i) for i in idx[n_val + n_test:])
-        return SplitPlan(sorted(train), sorted(val), sorted(test), "within_participant")
+        return _nonempty(SplitPlan(sorted(train), sorted(val), sorted(test), "within_participant"),
+                         fractions, f"{len(by_subject)} participants")
 
     subjects = sorted(set(subject_ids))
     shuffled = list(rng.permutation(subjects))
@@ -127,7 +113,23 @@ def make_split(subject_ids: Sequence[str], offsets: Sequence[int], task: Task, s
     plan = {"train": [], "val": [], "test": []}
     for i in order:
         plan[groups[subject_ids[i]]].append(i)
-    return SplitPlan(plan["train"], plan["val"], plan["test"], "by_participant")
+    return _nonempty(SplitPlan(plan["train"], plan["val"], plan["test"], "by_participant"),
+                     fractions, f"{n} participants")
+
+
+def _nonempty(plan: SplitPlan, fractions: tuple[float, float, float], source: str) -> SplitPlan:
+    """The plan, or a ValueError naming the fraction to raise if it has no train or
+    no validation window (by participant, val gets no one if train takes all but one)."""
+    counts = (f"({len(plan.train)} train, {len(plan.val)} val and {len(plan.test)} test "
+              f"windows from {source})")
+    if not plan.train:
+        raise ValueError(f"the {plan.split_mode} split leaves no train window {counts}; "
+                         f"raise the train fraction ({fractions[0]}) or add participants")
+    if not plan.val:
+        raise ValueError(f"the {plan.split_mode} split leaves no validation window {counts}; "
+                         f"raise the val fraction ({fractions[1]}), taking from the train "
+                         f"fraction ({fractions[0]}), or add participants")
+    return plan
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -141,8 +143,8 @@ def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def predict_probs(params, config, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Inference-mode class probabilities for an array of windows."""
-    outs = [vit.forward(x[lo:lo + batch_size], params, config).probs.data
+    """Inference-mode class probabilities of windows: the softmax of their logits."""
+    outs = [ad.softmax(vit.forward(x[lo:lo + batch_size], params, config).logits).data
             for lo in range(0, x.shape[0], batch_size)]
     return np.concatenate(outs, axis=0)
 
@@ -177,16 +179,17 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
             try:
                 with ad.recording():
                     art = vit.forward(x_tr[idx], params, config, training=True, rng=rng)
-                    loss = cross_entropy(art.probs, y_tr[idx])
+                    loss = cross_entropy(art.logits, y_tr[idx])
                     ad.backward(loss)
             except FloatingPointError as e:
                 raise FloatingPointError(f"{e} at epoch {epoch}, batch {batch_no}") from e
             opt.step()
             losses.append(float(loss.data))
-            correct += int(np.sum(np.argmax(art.probs.data, axis=1) == y_tr[idx]))
+            correct += int(np.sum(np.argmax(art.logits.data, axis=1) == y_tr[idx]))
 
         val_probs = predict_probs(params, config, x_val)
-        val_loss = float(cross_entropy(Tensor(val_probs), y_val).data)
+        picked = val_probs[np.arange(len(y_val)), y_val]
+        val_loss = float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
         val_acc = _accuracy(val_probs, y_val)
         epochs.append({
             "epoch": epoch,

@@ -1,5 +1,6 @@
 """1D vision transformer for ECG windows: patch embedding, class token,
-post-norm encoder layers with stochastic depth, and an MLP head.
+post-norm encoder layers with stochastic depth, and a linear head whose class
+logits `forward` returns; the loss and probabilities are the caller's.
 
 With hidden_dim=256 and 6 heads the per-head width is floor(256/6)=42, so the
 concatenated heads span 252 dims and the output projection maps 252 -> 256.
@@ -66,7 +67,6 @@ class VitConfig:
 @dataclass
 class ForwardArtifacts:
     logits: Tensor                      # [B, K]
-    probs: Tensor                       # [B, K]
     attention: np.ndarray | None        # final block, [B, H, N+1, N+1]
 
 
@@ -156,8 +156,8 @@ def encoder_layer(z: Tensor, params: dict[str, Tensor], layer: int, config: VitC
 
     ffn = None
     if keep_branch():
-        hdn = ad.gelu(ad.linear(z, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
-        ffn = ad.linear(hdn, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
+        hdn = ad.gelu(ad.matmul(z, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
+        ffn = ad.matmul(hdn, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
     z = ad.layer_norm(z, params[pre + "ln2.gamma"], params[pre + "ln2.beta"], config.ln_eps,
                       residual=ffn, residual_scale=branch_scale)
     return z, maps
@@ -166,8 +166,8 @@ def encoder_layer(z: Tensor, params: dict[str, Tensor], layer: int, config: VitC
 def forward(x: np.ndarray | Tensor, params: dict[str, Tensor], config: VitConfig,
             training: bool = False, capture_attention: bool = False,
             rng: np.random.Generator | None = None) -> ForwardArtifacts:
-    """Full model pass over a batch of windows [B, seq_len]. With capture_attention,
-    the artifacts carry the final block's attention maps."""
+    """Full model pass over a batch of windows [B, seq_len] to class logits [B, K].
+    With capture_attention, the artifacts also carry the final block's attention maps."""
     if not isinstance(x, Tensor):
         x = Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     if x.shape[-1] != config.seq_len:
@@ -183,9 +183,8 @@ def forward(x: np.ndarray | Tensor, params: dict[str, Tensor], config: VitConfig
             training=training, rng=rng, capture=capture_attention and layer == last,
         )
     z0 = z[:, 0, :]                                  # [B, D]
-    logits = ad.linear(z0, params["head.w"], params["head.b"])
-    probs = ad.softmax(logits, axis=-1)
-    return ForwardArtifacts(logits=logits, probs=probs, attention=maps)
+    logits = ad.matmul(z0, params["head.w"], params["head.b"])
+    return ForwardArtifacts(logits=logits, attention=maps)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,17 @@
 
 import numpy as np
 
+from transecg import autodiff as ad
+from transecg.autodiff import Tensor
+
+
+def project(out, w=None):
+    """The scalar sum(w * out) as a taped reshape and matmul, w all ones by
+    default: a loss that hands `out` the gradient w exactly."""
+    w = np.ones(out.shape) if w is None else np.asarray(w, dtype=np.float64)
+    flat = ad.matmul(out.reshape((1, out.size)), Tensor(w.reshape(out.size, 1)))
+    return flat.reshape(())
+
 
 def fd_gradient(fn, arrays, wrt, eps=1e-6):
     """Numeric d fn(arrays)/d arrays[wrt] by central differences.

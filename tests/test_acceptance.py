@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradcheck import fd_gradient, rel_error
+from gradcheck import fd_gradient, project, rel_error
 from transecg import autodiff as ad
 from transecg import cli, delineation, explain, signal_core, training, vit
 from transecg.autodiff import Tensor
@@ -41,39 +41,37 @@ def test_01_gradient_oracle():
         nonlocal worst_op
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
         with ad.recording():
-            ad.backward(ad.tsum(build(tensors)))
+            ad.backward(project(build(tensors)))
 
         def scalar(arrs):
-            return float(ad.tsum(build([Tensor(a) for a in arrs])).data)
+            return float(project(build([Tensor(a) for a in arrs])).data)
 
         for i, t in enumerate(tensors):
             worst_op = max(worst_op, rel_error(t.grad, fd_gradient(scalar, arrays, i)))
 
     check(lambda t: ad.matmul(t[0], t[1]),
           [rng.normal(size=(4, 5)), rng.normal(size=(5, 3))])
-    check(lambda t: ad.mul(ad.softmax(t[0], axis=-1), t[1]),
-          [rng.normal(size=(3, 6)), rng.normal(size=(3, 6))])
-    check(lambda t: ad.mul(ad.layer_norm(t[0], t[1], t[2]), t[3]),
-          [rng.normal(size=(2, 8)), rng.normal(size=8),
-           rng.normal(size=8), rng.normal(size=(2, 8))])
+    w = [rng.normal(size=shape) for shape in ((3, 6), (2, 8), (2, 3, 4), (2, 8), (2, 3, 5))]
+    check(lambda t: project(ad.softmax(t[0], axis=-1), w[0]), [rng.normal(size=(3, 6))])
+    check(lambda t: project(ad.layer_norm(t[0], t[1], t[2]), w[1]),
+          [rng.normal(size=(2, 8)), rng.normal(size=8), rng.normal(size=8)])
     check(lambda t: ad.gelu(t[0]), [rng.normal(size=(3, 5))])
-    check(lambda t: ad.tlog(ad.clip_min(t[0], 1e-12)),
-          [np.abs(rng.normal(size=(3, 4))) + 0.1])
-    check(lambda t: ad.mul(ad.attention(t[0], t[1], t[2], 2)[0], t[3]),
-          [rng.normal(size=(2, 3, 4)) for _ in range(4)])
-    check(lambda t: ad.mul(ad.layer_norm(t[0], t[1], t[2], residual=t[3],
-                                         residual_scale=1.25), t[4]),
+    check(lambda t: project(ad.attention(t[0], t[1], t[2], 2)[0], w[2]),
+          [rng.normal(size=(2, 3, 4)) for _ in range(3)])
+    check(lambda t: project(ad.layer_norm(t[0], t[1], t[2], residual=t[3],
+                                          residual_scale=1.25), w[3]),
           [rng.normal(size=(2, 8)), rng.normal(size=8), rng.normal(size=8),
-           rng.normal(size=(2, 8)), rng.normal(size=(2, 8))])
-    check(lambda t: ad.mul(ad.linear(t[0], t[1], t[2]), t[3]),
-          [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5),
-           rng.normal(size=(2, 3, 5))])
+           rng.normal(size=(2, 8))])
+    check(lambda t: project(ad.matmul(t[0], t[1], t[2]), w[4]),
+          [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)])
+    check(lambda t: ad.cross_entropy(t[0], np.array([0, 2, 1, 2])),
+          [3 * rng.normal(size=(4, 3))])
 
     params = vit.init_params(TINY, seed=0)
     x = rng.uniform(size=(2, TINY.seq_len))
     y = np.array([0, 2])
     with ad.recording():
-        ad.backward(cross_entropy(vit.forward(x, params, TINY).probs, y))
+        ad.backward(cross_entropy(vit.forward(x, params, TINY).logits, y))
     worst_model = 0.0
     for key in ("embed.E", "layers.0.w_q", "layers.1.ffn.w1", "head.w"):
         param = params[key]
@@ -81,7 +79,7 @@ def test_01_gradient_oracle():
 
         def scalar(arrs):
             param.data = arrs[0]
-            val = float(cross_entropy(vit.forward(x, params, TINY).probs, y).data)
+            val = float(cross_entropy(vit.forward(x, params, TINY).logits, y).data)
             param.data = arr
             return val
 
@@ -301,7 +299,7 @@ def test_09_metric_closed_forms():
     perfect_probs[np.arange(5), y2] = 1.0
     perfect = training.evaluate_probs(perfect_probs, y2)
 
-    ce = float(cross_entropy(Tensor(np.full((5, 4), 0.25)),
+    ce = float(cross_entropy(Tensor(np.full((5, 4), 0.25)),    # equal logits
                              np.array([0, 1, 2, 3, 0])).data)
 
     ok = 0.45 <= auc0 <= 0.55

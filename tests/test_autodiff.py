@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp, softmax
 
-from gradcheck import fd_gradient, rel_error
+from gradcheck import fd_gradient, project, rel_error
 from transecg import autodiff as ad
 from transecg import vit
 from transecg.autodiff import AdamW, Tensor
@@ -17,10 +19,10 @@ def check_op(build, arrays, rtol=1e-4, eps=1e-6):
     """Compare autodiff grads of sum(build(tensors)) against finite differences."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     with ad.recording():
-        ad.backward(ad.tsum(build(tensors)))
+        ad.backward(project(build(tensors)))
 
     def scalar(arrs):
-        return float(ad.tsum(build([Tensor(a) for a in arrs])).data)
+        return float(project(build([Tensor(a) for a in arrs])).data)
 
     for i, t in enumerate(tensors):
         numeric = fd_gradient(scalar, arrays, i, eps=eps)
@@ -70,7 +72,7 @@ class TestBasicOps:
 
     def test_linear_identity(self):
         x = np.random.default_rng(2).normal(size=(3, 4))
-        out = ad.linear(Tensor(x), Tensor(np.eye(4)), Tensor(np.zeros(4)))
+        out = ad.matmul(Tensor(x), Tensor(np.eye(4)), Tensor(np.zeros(4)))
         assert np.allclose(out.data, x)
 
 
@@ -86,13 +88,15 @@ class TestGradients:
                  [self.rng.normal(size=(2, 3, 4)), self.rng.normal(size=(4, 3))])
 
     def test_softmax(self):
-        check_op(lambda t: ad.mul(ad.softmax(t[0], axis=-1), t[1]),
-                 [self.rng.normal(size=(3, 7)), self.rng.normal(size=(3, 7))], rtol=1e-5)
+        w = self.rng.normal(size=(3, 7))
+        check_op(lambda t: project(ad.softmax(t[0], axis=-1), w),
+                 [self.rng.normal(size=(3, 7))], rtol=1e-5)
 
     def test_layer_norm(self):
-        check_op(lambda t: ad.mul(ad.layer_norm(t[0], t[1], t[2]), t[3]),
+        w = self.rng.normal(size=(2, 8))
+        check_op(lambda t: project(ad.layer_norm(t[0], t[1], t[2]), w),
                  [self.rng.normal(size=(2, 8)), self.rng.normal(size=8),
-                  self.rng.normal(size=8), self.rng.normal(size=(2, 8))])
+                  self.rng.normal(size=8)])
 
     def test_gelu(self):
         check_op(lambda t: ad.gelu(t[0]), [self.rng.normal(size=(3, 5))])
@@ -101,48 +105,54 @@ class TestGradients:
         check_op(lambda t: ad.add(t[0], t[1]),
                  [self.rng.normal(size=(4, 3)), self.rng.normal(size=3)])
 
-    def test_mul_sub_scale(self):
-        check_op(lambda t: ad.scale(ad.mul(ad.add(t[0], ad.scale(t[1], -1.0)), t[0]), 2.5),
+    def test_sub_scale(self):
+        w = self.rng.normal(size=(3, 3))
+        check_op(lambda t: project(ad.scale(ad.add(t[0], ad.scale(t[1], -1.0)), 2.5), w),
                  [self.rng.normal(size=(3, 3)), self.rng.normal(size=(3, 3))])
 
     def test_transpose_reshape_concat_slice(self):
+        w = self.rng.normal(size=(4, 4))
+
         def build(t):
             a = ad.transpose(t[0], (1, 0, 2))
             b = a.reshape((6, 4))
             c = ad.concat([b, t[1]], axis=0)
-            return ad.mul(c[1:5, :], t[2])
-        check_op(build, [self.rng.normal(size=(2, 3, 4)), self.rng.normal(size=(2, 4)),
-                         self.rng.normal(size=(4, 4))])
+            return project(c[1:5, :], w)
+        check_op(build, [self.rng.normal(size=(2, 3, 4)), self.rng.normal(size=(2, 4))])
 
-    def test_log_clip(self):
-        check_op(lambda t: ad.tlog(ad.clip_min(t[0], 1e-12)),
-                 [np.abs(self.rng.normal(size=(3, 4))) + 0.1])
+    def test_cross_entropy(self):
+        labels = np.array([0, 2, 1, 2])
+        check_op(lambda t: ad.cross_entropy(t[0], labels), [3 * self.rng.normal(size=(4, 3))],
+                 rtol=1e-5)
 
     def test_attention(self):
         shape = (2, 3, 4)   # B, T, H*dh with 2 heads of width 2
-        check_op(lambda t: ad.mul(ad.attention(t[0], t[1], t[2], 2)[0], t[3]),
-                 [self.rng.normal(size=shape) for _ in range(4)])
+        w = self.rng.normal(size=shape)
+        check_op(lambda t: project(ad.attention(t[0], t[1], t[2], 2)[0], w),
+                 [self.rng.normal(size=shape) for _ in range(3)])
 
     def test_layer_norm_residual(self):
-        check_op(lambda t: ad.mul(ad.layer_norm(t[0], t[1], t[2], residual=t[3],
-                                                residual_scale=1.25), t[4]),
+        w = self.rng.normal(size=(2, 8))
+        check_op(lambda t: project(ad.layer_norm(t[0], t[1], t[2], residual=t[3],
+                                                 residual_scale=1.25), w),
                  [self.rng.normal(size=(2, 8)), self.rng.normal(size=8),
-                  self.rng.normal(size=8), self.rng.normal(size=(2, 8)),
-                  self.rng.normal(size=(2, 8))])
+                  self.rng.normal(size=8), self.rng.normal(size=(2, 8))])
 
     def test_linear_bias(self):
-        check_op(lambda t: ad.mul(ad.linear(t[0], t[1], t[2]), t[3]),
+        w = self.rng.normal(size=(2, 3, 5))
+        check_op(lambda t: project(ad.matmul(t[0], t[1], t[2]), w),
                  [self.rng.normal(size=(2, 3, 4)), self.rng.normal(size=(4, 5)),
-                  self.rng.normal(size=5), self.rng.normal(size=(2, 3, 5))])
+                  self.rng.normal(size=5)])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_randomized_shapes(self, seed):
         rng = np.random.default_rng(seed)
         m, k, n = rng.integers(2, 6, size=3)
+        w = rng.normal(size=(m, n))
         def build(t):
             h = ad.gelu(ad.matmul(t[0], t[1]))
             s = ad.softmax(ad.layer_norm(h, t[2], t[3]), axis=-1)
-            return ad.mul(s, s)
+            return project(s, w)
         check_op(build, [rng.normal(size=(m, k)), rng.normal(size=(k, n)),
                          rng.normal(size=n) + 1.0, rng.normal(size=n)])
 
@@ -166,11 +176,44 @@ def test_matmul_with_2d_right_operand_matches_einsum(data):
     ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
     with ad.recording():
         out = ad.matmul(ta, tb)
-        ad.backward(ad.tsum(ad.mul(out, Tensor(g))))
+        ad.backward(project(out, g))
     rows = "ijl"[:rank - 1]
     assert _rel_err(out.data, np.einsum(f"{rows}k,kn->{rows}n", a, b)) <= 1e-12
     assert _rel_err(ta.grad, np.einsum(f"{rows}n,kn->{rows}k", g, b)) <= 1e-12
     assert _rel_err(tb.grad, np.einsum(f"{rows}k,{rows}n->kn", a, g)) <= 1e-12
+
+
+@given(logits=st.integers(1, 6).flatmap(lambda b: st.integers(1, 5).flatmap(
+           lambda k: arrays(np.float64, (b, k), elements=st.floats(-1e3, 1e3)))),
+       data=st.data())
+def test_cross_entropy_matches_logsumexp(logits, data):
+    """The loss node against a NumPy float64 reference: mean(logsumexp(l) - l[y])
+    and a gradient of (softmax(l) - onehot) / B. The reference's own rounding of
+    logits up to 1e3 is about 1e-13 absolute, so the loss is compared relative to
+    max(loss, 1) and the gradient relative to 1/B, the largest an entry can be."""
+    b, k = logits.shape
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=b, max_size=b)))
+    rows = np.arange(b)
+    want_loss = np.mean(logsumexp(logits, axis=1) - logits[rows, labels])
+    want_grad = softmax(logits, axis=1)
+    want_grad[rows, labels] -= 1.0
+    want_grad /= b
+    t = Tensor(logits, requires_grad=True)
+    with ad.recording():
+        loss = ad.cross_entropy(t, labels)
+        ad.backward(loss)
+    assert abs(float(loss.data) - want_loss) <= 1e-12 * max(want_loss, 1.0)
+    assert np.max(np.abs(t.grad - want_grad)) <= 1e-12 / b
+
+
+def test_confidently_wrong_window_keeps_its_gradient():
+    # a softmax floored at 1e-12 read 27.63 here, and its gradient was [-0, -0]
+    t = Tensor([[0.0, 40.0]], requires_grad=True)
+    with ad.recording():
+        loss = ad.cross_entropy(t, np.array([0]))
+        ad.backward(loss)
+    assert float(loss.data) == 40.0
+    assert np.array_equal(t.grad, [[-1.0, 1.0]])
 
 
 # The fused ops against the unfused compositions they replace, kept here as
@@ -208,7 +251,7 @@ def _run_both(fused, unfused, arrays, weight):
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
         with ad.recording():
             out, *extras = op(tensors)
-            ad.backward(ad.tsum(ad.mul(out, Tensor(weight))))
+            ad.backward(project(out, weight))
         results.append([out.data, *extras, *(t.grad for t in tensors)])
     return results
 
@@ -246,7 +289,7 @@ def test_residual_layer_norm_matches_unfused(lead, d, c, seed):
 def test_biased_linear_matches_unfused(lead, k, n, seed):
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=(*lead, k)), rng.normal(size=(k, n)), rng.normal(size=n)]
-    fused, unfused = _run_both(lambda x: (ad.linear(*x),), lambda x: (_unfused_linear(*x),),
+    fused, unfused = _run_both(lambda x: (ad.matmul(*x),), lambda x: (_unfused_linear(*x),),
                                arrays, rng.normal(size=(*lead, n)))
     _assert_close(fused, unfused)
 
@@ -267,19 +310,19 @@ class TestBackwardSemantics:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with ad.recording():
-            ad.backward(ad.tsum(x))
+            ad.backward(project(x))
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_quadratic(self):
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         with ad.recording():
-            ad.backward(ad.tsum(ad.mul(x, x)))
+            ad.backward(ad.matmul(x.reshape((1, 3)), x.reshape((3, 1))).reshape(()))
         assert np.allclose(x.grad, 2 * x.data)
 
     def test_reuse_accumulates(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         with ad.recording():
-            ad.backward(ad.tsum(ad.add(x, x)))
+            ad.backward(project(ad.add(x, x)))
         assert np.array_equal(x.grad, [2.0, 2.0])
 
     def test_inputs_of_one_add_do_not_share_gradient_memory(self):
@@ -287,7 +330,7 @@ class TestBackwardSemantics:
         b = Tensor(np.ones(4), requires_grad=True)
         with ad.recording():
             s = ad.add(a, b)
-            ad.backward(ad.tsum(ad.add(s, a)))  # a is consumed twice
+            ad.backward(project(ad.add(s, a)))  # a is consumed twice
         assert np.array_equal(a.grad, np.full(4, 2.0))
         assert np.array_equal(b.grad, np.ones(4))
         assert not np.shares_memory(a.grad, b.grad)
@@ -300,7 +343,7 @@ class TestBackwardSemantics:
             y = x
             for _ in range(20):
                 y = ad.scale(y, 1.0)
-            loss = ad.tsum(y)
+            loss = project(y)
             del y
             tracemalloc.start()
             try:
@@ -320,19 +363,19 @@ class TestBackwardSemantics:
     def test_tape_cleared_after_backward(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with ad.recording():
-            ad.backward(ad.tsum(ad.mul(x, x)))
+            ad.backward(project(ad.add(x, x)))
             assert ad._TAPE == []
 
     def test_no_grad_blocks_recording(self):
         # outside recording() nothing is taped
         x = Tensor(np.ones(3), requires_grad=True)
-        out = ad.mul(x, x)
+        out = ad.add(x, x)
         assert not out.requires_grad
         assert ad._TAPE == []
 
     def test_backward_outside_recording_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        loss = ad.tsum(ad.mul(x, x))
+        loss = project(ad.add(x, x))
         with pytest.raises(ValueError, match="recording"):
             ad.backward(loss)
         assert x.grad is None
@@ -340,7 +383,7 @@ class TestBackwardSemantics:
     def test_backward_after_recording_exited_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with ad.recording():
-            loss = ad.tsum(ad.mul(x, x))
+            loss = project(ad.add(x, x))
         with pytest.raises(ValueError, match="recording"):
             ad.backward(loss)
         assert x.grad is None
@@ -349,11 +392,11 @@ class TestBackwardSemantics:
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError, match="matmul shape mismatch"):
             with ad.recording():
-                h = ad.mul(x, x)
+                h = ad.add(x, x)
                 ad.matmul(h, x)  # 1D operands raise after one node is taped
         assert ad._TAPE == []
         assert h._backward is None
-        out = ad.mul(x, x)
+        out = ad.add(x, x)
         assert not out.requires_grad
         assert ad._TAPE == []
 

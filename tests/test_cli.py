@@ -322,6 +322,42 @@ class TestErrors:
         err = capsys.readouterr().err
         assert str(tmp_path / "windows.json") in err and "2 of 2 windows are labelled" in err
 
+    def test_store_split_without_validation_exits_naming_the_fraction(self, tmp_path, capsys):
+        three = ["--set", "synth_subjects=3", "--set", "synth_duration_s=24"]
+        for command in ("synth", "preprocess"):
+            assert run(command, tmp_path, extra=three) == 0
+        assert run("train", tmp_path, extra=three) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "windows.json") in err and "18 of 18 windows are labelled" in err
+        assert "no validation window" in err and "raise the val fraction (0.15)" in err
+
+    def test_non_utf8_csv_exits_naming_it_and_the_byte(self, tmp_path, capsys):
+        csv = tmp_path / "s1.csv"
+        csv.write_bytes(b"amplitude\n0.5\n\xff\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"records": [record()]}))
+        assert run("preprocess", tmp_path, extra=["--set", f"manifest={manifest}"]) == 1
+        err = capsys.readouterr().err
+        assert f"{csv}: not UTF-8 text: invalid start byte 0xff at byte offset 14" in err
+
+    def test_record_shorter_than_median_kernel_is_excluded(self, tmp_path, caplog):
+        short = np.sin(np.arange(60) / 5.0)
+        data_io.save_record_csv(tmp_path / "short.csv", short)
+        record, _ = data_io.synthesize(data_io.SyntheticEcgSpec(duration_s=2.0))
+        data_io.save_record_csv(tmp_path / "long.csv", record.samples)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"records": [
+            {"subject_id": "S1", "csv": "short.csv", "fs": 250.0},
+            {"subject_id": "S2", "csv": "long.csv", "fs": 250.0}]}))
+        extra = ["--set", f"manifest={manifest}", "--set", "median_kernel=101",
+                 "--set", "seq_len=10", "--set", "patch_size=5"]
+        assert run("preprocess", tmp_path, extra=extra) == 0
+        index = json.loads((tmp_path / "windows.json").read_text())
+        assert [row["subject_id"] for row in index["windows"]] == ["S2"] * 50
+        assert (tmp_path / "windows.bin").stat().st_size == 50 * 10 * 8
+        assert (f"record S1 ({tmp_path / 'short.csv'}) excluded: 60 samples, "
+                f"fewer than median_kernel 101") in caplog.text
+
     def test_failed_preprocess_keeps_previous_store(self, tmp_path, capsys):
         record, _ = data_io.synthesize(data_io.SyntheticEcgSpec(duration_s=16.0))
         data_io.save_record_csv(tmp_path / "good.csv", record.samples)

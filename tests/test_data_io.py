@@ -116,7 +116,14 @@ class TestRecordCsv:
 
 def line_loop_samples(entry):
     """The reference reader: load_record's per-line loop and record checks, as
-    they were before plain files took the np.loadtxt parse."""
+    they were before plain files took the np.loadtxt parse, and a file that is
+    not UTF-8 refused by the first byte where it stops being so."""
+    raw = entry.csv_path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{entry.csv_path}: not UTF-8 text: {e.reason} {raw[e.start]:#04x} "
+                         f"at byte offset {e.start}") from None
     values = []
     with open(entry.csv_path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -161,16 +168,32 @@ csv_texts = st.tuples(
     st.sampled_from(["", "amplitude\n", "Amplitude\r\n", " amplitude\t\r", "amplitude"]),
     st.lists(st.tuples(csv_lines, st.sampled_from(["\n", "\r\n", "\r", "\n\n"])), max_size=6),
 ).map(lambda parts: parts[0] + "".join(line + end for line, end in parts[1]))
+# bytes that are not UTF-8 where they stand: a stray continuation or invalid byte,
+# a cut multi-byte character and an encoded surrogate
+NOT_UTF8 = [b"\x80", b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]
+csv_bytes = st.tuples(
+    csv_texts.map(lambda text: text.encode("utf-8")),
+    st.lists(st.tuples(st.integers(0), st.sampled_from(NOT_UTF8)), max_size=2),
+).map(lambda parts: _insert_bytes(*parts))
+
+
+def _insert_bytes(blob, inserts):
+    for at, piece in inserts:
+        at %= len(blob) + 1
+        blob = blob[:at] + piece + blob[at:]
+    return blob
 
 
 @settings(deadline=None)
-@given(text=csv_texts)
-@example(text="amplitude\n1\x0b2\n")
-@example(text="1_000\n\u0661\u0662\n\xa01.5\n")
-@example(text="amplitude\n")
-def test_load_record_matches_line_loop(tmp_path_factory, text):
+@given(blob=csv_bytes)
+@example(blob=b"amplitude\n1\x0b2\n")
+@example(blob="1_000\n\u0661\u0662\n\xa01.5\n".encode("utf-8"))
+@example(blob=b"amplitude\n")
+@example(blob=b"amplitude\n0.5\n\xff\n")
+@example(blob=b"bogus\n\xc3")
+def test_load_record_matches_line_loop(tmp_path_factory, blob):
     csv = tmp_path_factory.mktemp("csv") / "r.csv"
-    csv.write_bytes(text.encode("utf-8"))
+    csv.write_bytes(blob)
     entry = data_io.ManifestEntry("S1", csv, 250.0)
     assert outcome(lambda e: load_record(e).samples, entry) == outcome(line_loop_samples, entry)
 

@@ -18,7 +18,7 @@ TINY = vit.VitConfig(seq_len=40, patch_size=10, hidden_dim=8, n_layers=2,
 
 def artifacts_with_attention(maps):
     """Wrap hand-built final-block attention into ForwardArtifacts."""
-    return ForwardArtifacts(logits=None, probs=None, attention=maps)
+    return ForwardArtifacts(logits=None, attention=maps)
 
 
 class TestExtractImportance:
@@ -49,7 +49,7 @@ class TestExtractImportance:
         assert np.array_equal(importance, expected)
 
     def test_missing_attention_rejected(self):
-        art = ForwardArtifacts(logits=None, probs=None, attention=None)
+        art = ForwardArtifacts(logits=None, attention=None)
         with pytest.raises(ValueError):
             explain.extract_importance(art)
 

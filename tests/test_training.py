@@ -34,20 +34,19 @@ def separable_dataset(n_per_class=16, seed=0):
 
 class TestCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
-        probs = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        loss = tr.cross_entropy(probs, np.array([0, 1]))
+        logits = Tensor(np.array([[50.0, -50.0], [-50.0, 50.0]]))
+        loss = tr.cross_entropy(logits, np.array([0, 1]))
         assert float(loss.data) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_k4_is_ln4(self):
-        probs = Tensor(np.full((5, 4), 0.25))
-        loss = tr.cross_entropy(probs, np.array([0, 1, 2, 3, 0]))
+        logits = Tensor(np.full((5, 4), 0.25))
+        loss = tr.cross_entropy(logits, np.array([0, 1, 2, 3, 0]))
         assert float(loss.data) == pytest.approx(np.log(4.0), abs=1e-9)
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(0)
-        logits = rng.normal(size=(10, 3))
-        probs = ad.softmax(Tensor(logits), axis=-1)
-        loss = tr.cross_entropy(probs, rng.integers(0, 3, size=10))
+        logits = Tensor(rng.normal(size=(10, 3)))
+        loss = tr.cross_entropy(logits, rng.integers(0, 3, size=10))
         assert float(loss.data) >= 0.0
 
     def test_gradient_vs_finite_differences(self):
@@ -56,10 +55,10 @@ class TestCrossEntropy:
         y = np.array([0, 2, 1, 1])
         logits = Tensor(logits_arr, requires_grad=True)
         with ad.recording():
-            ad.backward(tr.cross_entropy(ad.softmax(logits, axis=-1), y))
+            ad.backward(tr.cross_entropy(logits, y))
 
         def scalar(arrs):
-            return float(tr.cross_entropy(ad.softmax(Tensor(arrs[0]), axis=-1), y).data)
+            return float(tr.cross_entropy(Tensor(arrs[0]), y).data)
 
         numeric = fd_gradient(scalar, [logits_arr], 0)
         assert rel_error(logits.grad, numeric) < 1e-5
@@ -70,11 +69,10 @@ class TestCrossEntropy:
         y = rng.integers(0, 4, size=6)
         logits = Tensor(logits_arr, requires_grad=True)
         with ad.recording():
-            probs = ad.softmax(logits, axis=-1)
-            ad.backward(tr.cross_entropy(probs, y))
+            ad.backward(tr.cross_entropy(logits, y))
         onehot = np.zeros((6, 4))
         onehot[np.arange(6), y] = 1.0
-        expected = (probs.data - onehot) / 6
+        expected = (ad.softmax(Tensor(logits_arr)).data - onehot) / 6
         assert np.max(np.abs(logits.grad - expected)) < 1e-9
 
 
@@ -122,6 +120,12 @@ class TestMakeSplit:
     def test_too_few_windows_rejected(self):
         with pytest.raises(ValueError):
             tr.make_split(*make_windows(1, 2), Task.GENDER, seed=0)
+
+    def test_no_train_window_refused_naming_the_fraction(self):
+        with pytest.raises(ValueError, match=r"within_participant split leaves no train window "
+                                             r".*raise the train fraction \(0.2\)"):
+            tr.make_split(*make_windows(2, 4), Task.PARTICIPANT_ID, seed=0,
+                          fractions=(0.2, 0.4, 0.4))
 
 
 class TestTrainLoop:

@@ -157,7 +157,7 @@ class TestForward:
         tiny_params["head.w"].data[:] = 0.0
         tiny_params["head.b"].data[:] = 0.0
         art = vit.forward(tiny_batch(3), tiny_params, TINY)
-        assert np.allclose(art.probs.data, 1.0 / TINY.n_classes)
+        assert np.allclose(ad.softmax(art.logits).data, 1.0 / TINY.n_classes)
 
     def test_shapes_default_config(self):
         cfg = vit.VitConfig(n_classes=5)
@@ -190,7 +190,7 @@ class TestForward:
         y = np.array([0, 2])
         with ad.recording():
             art = vit.forward(x, tiny_params, TINY, training=True)
-            ad.backward(cross_entropy(art.probs, y))
+            ad.backward(cross_entropy(art.logits, y))
 
         check_keys = ["embed.E", "embed.E_pos", "embed.cls", "layers.0.w_q",
                       "layers.1.w_o", "layers.0.ln1.gamma", "layers.1.ffn.w1",
@@ -202,7 +202,7 @@ class TestForward:
             def scalar(arrs):
                 param.data = arrs[0]
                 out = vit.forward(x, tiny_params, TINY, training=True)
-                val = float(cross_entropy(out.probs, y).data)
+                val = float(cross_entropy(out.logits, y).data)
                 param.data = arr
                 return val
 
@@ -213,14 +213,15 @@ class TestForward:
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_train_step_tape_nodes(self, n_layers):
         """Per layer: q, k, v, attention, output projection, two residual layer
-        norms and the three FFN nodes. Embedding 5, head 3, loss 5."""
+        norms and the three FFN nodes. Embedding 5, head 2 (class token and
+        linear), loss 1."""
         cfg = dataclasses.replace(TINY, n_layers=n_layers)
         params = vit.init_params(cfg, seed=0)
         with ad.recording():
             art = vit.forward(tiny_batch(2), params, cfg, training=True,
                               rng=np.random.default_rng(0))
-            cross_entropy(art.probs, np.array([0, 2]))
-            assert len(ad._TAPE) == 10 * n_layers + 13
+            cross_entropy(art.logits, np.array([0, 2]))
+            assert len(ad._TAPE) == 10 * n_layers + 8
 
 
 class TestStochasticDepth:
@@ -243,7 +244,7 @@ class TestStochasticDepth:
 class TestCheckpoint:
     def test_round_trip_reproduces_forward(self, tiny_params, tmp_path):
         x = tiny_batch(2, seed=8)
-        before = vit.forward(x, tiny_params, TINY).probs.data
+        before = vit.forward(x, tiny_params, TINY).logits.data
         path = tmp_path / "model.ckpt"
         vit.save_checkpoint(path, tiny_params, TINY, {"male": 0, "female": 1},
                             meta={"task": "gender"})
@@ -251,7 +252,7 @@ class TestCheckpoint:
         assert cfg2 == TINY
         assert vocab == {"male": 0, "female": 1}
         assert meta["task"] == "gender"
-        after = vit.forward(x, params2, cfg2).probs.data
+        after = vit.forward(x, params2, cfg2).logits.data
         assert np.array_equal(before, after)
 
     def test_loaded_params_record_no_tape(self, tiny_params, tmp_path):
