@@ -8,7 +8,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,12 +141,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _json_dump(path: Path, doc) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
-        f.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -183,7 +176,7 @@ def cmd_synth(cfg: RunConfig) -> str:
         })
 
     manifest_path = data_dir / "manifest.json"
-    _json_dump(manifest_path, {"dataset": "synthetic", "records": records})
+    data_io.write_json(manifest_path, {"dataset": "synthetic", "records": records})
     return f"synth: wrote {len(records)} subjects to {manifest_path}"
 
 
@@ -226,7 +219,7 @@ def cmd_preprocess(cfg: RunConfig) -> str:
         part.replace(workdir / STORE_BIN)
     finally:
         part.unlink(missing_ok=True)
-    _json_dump(workdir / STORE_INDEX, {
+    data_io.write_json(workdir / STORE_INDEX, {
         "seq_len": cfg.seq_len, "fs": cfg.fs_target, "windows": index,
     })
     return f"preprocess: stored {len(index)} windows in {workdir}"
@@ -265,7 +258,7 @@ def load_store(
                          f"{len(rows)} windows of {seq_len} float64 samples")
     task = Task(cfg.task)
     vocab = data_io.build_vocab(subject_ids, task)
-    labels = [data_io.record_label(row, task, vocab) for row in rows]
+    labels = data_io.record_labels(rows, task, vocab)
     kept = [i for i, label in enumerate(labels) if label is not None]
     x = np.fromfile(bin_path, dtype="<f8").reshape(len(rows), seq_len)[kept]
     y = np.asarray([labels[i] for i in kept], dtype=np.int64)
@@ -289,7 +282,8 @@ def _load_model_and_store(
 ) -> tuple[dict, vit.VitConfig, np.ndarray, np.ndarray, training.SplitPlan]:
     """Load the checkpoint for inference and the store it scores: (params, config,
     x, y, plan). The split is rebuilt from the config's seed, task and fractions,
-    so refuse a checkpoint trained with other ones or with other class labels."""
+    so refuse a checkpoint trained with other ones or with other class labels,
+    and a split with no test window to score."""
     ckpt = _checkpoint(cfg)
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
@@ -308,6 +302,9 @@ def _load_model_and_store(
     if vocab != store_vocab:
         raise ValueError(f"{ckpt} field 'vocab' differs from the class labels of the "
                          f"window store in {cfg.workdir}; retrain it on this store")
+    if not plan.test:
+        raise ValueError(f"{Path(cfg.workdir) / STORE_INDEX}: the test split is empty; "
+                         f"raise test_frac or add subjects")
     return params, config, x, y, plan
 
 
@@ -315,19 +312,16 @@ def cmd_train(cfg: RunConfig) -> str:
     x, y, vocab, plan = load_store(cfg, cfg.seq_len, "the config")
     config = cfg.vit_config(len(vocab))
     report, best = training.train(x, y, plan, config, cfg.hparams(), cfg.seed)
-
-    test_metrics = None
     if plan.test:
-        test_metrics = training.evaluate(best, config, x[plan.test], y[plan.test],
-                                         task=Task(cfg.task))
-        report.test_metrics = test_metrics
+        report["test_metrics"] = training.evaluate(best, config, x[plan.test], y[plan.test],
+                                                   task=Task(cfg.task))
 
     ckpt = _checkpoint(cfg)
     vit.save_checkpoint(ckpt, best, config, vocab,
                         meta={name: getattr(cfg, name) for name in SPLIT_FIELDS})
-    _json_dump(Path(cfg.workdir) / "train_report.json", report.to_dict())
-    acc = test_metrics["accuracy"] if test_metrics else float("nan")
-    return (f"train: best epoch {report.best_epoch}, "
+    data_io.write_json(Path(cfg.workdir) / "train_report.json", report)
+    acc = report["test_metrics"]["accuracy"] if plan.test else float("nan")
+    return (f"train: best epoch {report['best_epoch']}, "
             f"test accuracy {acc:.3f}, checkpoint {ckpt}")
 
 
@@ -335,18 +329,16 @@ def cmd_evaluate(cfg: RunConfig) -> str:
     params, config, x, y, plan = _load_model_and_store(cfg)
     metrics = training.evaluate(params, config, x[plan.test], y[plan.test], task=Task(cfg.task))
     out = Path(cfg.workdir) / "metrics.json"
-    _json_dump(out, metrics)
+    data_io.write_json(out, metrics)
     return f"evaluate: test accuracy {metrics['accuracy']:.3f} -> {out}"
 
 
 def cmd_explain(cfg: RunConfig) -> str:
     params, config, x, _, plan = _load_model_and_store(cfg)
-    if not plan.test:
-        raise ValueError("explain: the test split is empty; raise test_frac or add subjects")
 
     percentages = []
     first = None
-    skipped = 0
+    errors = []
     for i in plan.test[:cfg.explain_windows]:
         window = x[i]
         art = vit.forward(window[None, :], params, config, capture_attention=True)
@@ -356,18 +348,19 @@ def cmd_explain(cfg: RunConfig) -> str:
             fids = delineation.delineate(window, peaks, cfg.fs_target)
             percentages.append(explain.attribute(
                 per_head.mean(axis=0), delineation.intervals(fids), config.patch_size))
-        except ValueError:
-            skipped += 1
+        except ValueError as e:
+            errors.append(e)
             continue
         if first is None:
             first = (per_head, window)
 
     if not percentages:
-        raise ValueError("explain: no window could be attributed")
+        raise ValueError(f"explain: no window could be attributed ({len(errors)} skipped, "
+                         f"the first because {errors[0]})")
     report = explain.aggregate(percentages, cfg.task,
                                explain.head_weights(params, config).tolist())
     paths = explain.emit_report(report, *first, Path(cfg.workdir) / "explain")
-    return (f"explain: attributed {len(percentages)} windows ({skipped} skipped), "
+    return (f"explain: attributed {len(percentages)} windows ({len(errors)} skipped), "
             f"report {paths['json']}")
 
 

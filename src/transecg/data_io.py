@@ -8,6 +8,7 @@ import json
 import logging
 import reprlib
 import warnings
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -83,6 +84,14 @@ def read_json(path) -> dict:
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ValueError(f"{path}: {e}") from None
     return json_value(doc, dict, str(path))
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as every JSON artifact is written: sorted keys, a two-space
+    indent, \\n line ends and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(doc, f, sort_keys=True, indent=2)
+        f.write("\n")
 
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
@@ -312,20 +321,18 @@ def build_vocab(subject_ids: Iterable[str], task: Task) -> dict[str, int]:
     return {sid: i for i, sid in enumerate(sorted(set(subject_ids)))}
 
 
-def record_label(row: dict, task: Task, vocab: dict[str, int]) -> int | None:
-    """Class index of a store row for a task, or None (with a warning) if metadata is missing."""
-    sid = row["subject_id"]
+def record_labels(rows: list[dict], task: Task, vocab: dict[str, int]) -> list[int | None]:
+    """Class index of each store row for a task, or None where its metadata lacks
+    the label; each subject so excluded is logged once, with its window count.
+    The id vocabulary is built from the same rows, so every row has an id label."""
+    if task is Task.PARTICIPANT_ID:
+        return [vocab[row["subject_id"]] for row in rows]
     if task is Task.GENDER:
-        if row.get("gender") not in vocab:
-            logger.warning("record %s excluded: no gender label", sid)
-            return None
-        return vocab[row["gender"]]
-    if task is Task.AGE_GROUP:
-        if row.get("age_years") is None:
-            logger.warning("record %s excluded: no age", sid)
-            return None
-        return age_bin(row["age_years"])
-    if sid not in vocab:
-        logger.warning("record %s excluded: not in id vocabulary", sid)
-        return None
-    return vocab[sid]
+        labels = [vocab.get(row.get("gender")) for row in rows]
+    else:
+        labels = [None if row.get("age_years") is None else age_bin(row["age_years"])
+                  for row in rows]
+    missing = Counter(row["subject_id"] for row, label in zip(rows, labels) if label is None)
+    for sid, n in missing.items():
+        logger.warning("record %s excluded: no %s label (%d windows)", sid, task.value, n)
+    return labels

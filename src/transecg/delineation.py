@@ -21,20 +21,6 @@ BASE_INTERVALS = ("P_WAVE", "PQ_SEGMENT", "QRS", "ST_SEGMENT", "T_WAVE", "TQ_BAS
 
 
 @dataclass
-class RPeakList:
-    indices: np.ndarray  # strictly increasing sample indices
-    fs: float
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        if self.indices.size > 1:
-            gaps = np.diff(self.indices)
-            min_gap = int(round(REFRACTORY_S * self.fs))
-            if np.any(gaps < min_gap):
-                raise ValueError("R peaks violate the 200 ms refractory period")
-
-
-@dataclass
 class BeatFiducials:
     r: int
     q: int | None = None
@@ -52,11 +38,13 @@ class IntervalMap:
     beats: list[dict[str, tuple[int, int]]]
 
 
-def pan_tompkins(x: np.ndarray, fs: float) -> RPeakList:
+def pan_tompkins(x: np.ndarray, fs: float) -> np.ndarray:
     """Detect R peaks: bandpass, derivative, squaring, integration, adaptive thresholds.
 
     Peaks are refined to the local maximum of the band-passed signal within
-    +-50 ms of each integrated-signal detection.
+    +-50 ms of each integrated-signal detection. Returns their sample indices
+    as an increasing int64 array, any two at least the 200 ms refractory
+    period apart.
     """
     x = np.asarray(x, dtype=np.float64)
     if fs < 100:
@@ -64,7 +52,7 @@ def pan_tompkins(x: np.ndarray, fs: float) -> RPeakList:
     if x.size < int(2 * fs):
         raise ValueError(f"pan_tompkins needs >= 2 s of signal, got {x.size / fs:.2f} s")
     if np.ptp(x) == 0.0:
-        return RPeakList(np.array([], dtype=np.int64), fs)
+        return np.array([], dtype=np.int64)
 
     nyq = fs / 2.0
     sos = sps.butter(2, [5.0 / nyq, 15.0 / nyq], btype="bandpass", output="sos")
@@ -85,7 +73,7 @@ def pan_tompkins(x: np.ndarray, fs: float) -> RPeakList:
     cand_p, _ = sps.find_peaks(mwi_p, distance=refractory)
     cand = cand_p[(cand_p >= pad) & (cand_p < pad + x.size)] - pad
     if cand.size == 0:
-        return RPeakList(np.array([], dtype=np.int64), fs)
+        return np.array([], dtype=np.int64)
 
     # adaptive dual thresholds initialized from the first 2 s
     init = mwi[: int(2 * fs)]
@@ -134,7 +122,7 @@ def pan_tompkins(x: np.ndarray, fs: float) -> RPeakList:
     for r in sorted(refined):
         if not out or r - out[-1] >= refractory:
             out.append(r)
-    return RPeakList(np.array(out, dtype=np.int64), fs)
+    return np.array(out, dtype=np.int64)
 
 
 def _is_flat(seg: np.ndarray, signal_range: float) -> bool:
@@ -159,20 +147,20 @@ def _local_extremum(x: np.ndarray, lo: int, hi: int, mode: str) -> int | None:
     return lo + int(np.argmax(np.abs(seg - baseline)))
 
 
-def delineate(x: np.ndarray, peaks: RPeakList, fs: float) -> list[BeatFiducials]:
+def delineate(x: np.ndarray, peaks: np.ndarray, fs: float) -> list[BeatFiducials]:
     """Locate Q, S, P-wave and T-wave fiducials around each R peak.
 
     Search windows follow standard clinical timing; fiducials are clipped to
     the window bounds and omitted when a search region is empty or flat.
     """
     x = np.asarray(x, dtype=np.float64)
-    if peaks.indices.size == 0:
+    if len(peaks) == 0:
         raise ValueError("delineate requires at least one R peak")
     ms = lambda v: int(round(v * fs / 1000.0))
     rng = float(np.ptp(x))
 
     out = []
-    for r in peaks.indices:
+    for r in peaks:
         r = int(r)
         fid = BeatFiducials(r=r)
 

@@ -4,18 +4,18 @@ head weighting from the output projection, and interval-level reports.
 `attribute` turns one window's patch importance into percentages over the
 disjoint base partition of its beats, so they sum to 100. `aggregate` takes
 the mean over windows and derives, once, the overlapping clinical composites
-(P-R, S-T, Q-T) as sums of their constituents and the top-3 feature table.
+(P-R, S-T, Q-T) as sums of their constituents and the top-3 feature table;
+what it returns is the `attribution.json` document.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
+from .data_io import write_json
 from .delineation import BASE_INTERVALS, IntervalMap
 from .vit import ForwardArtifacts, VitConfig
 
@@ -31,16 +31,6 @@ FEATURE_CANDIDATES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("P-R Interval", COMPOSITE_INTERVALS["P_R"]),
     ("Q-T Interval", COMPOSITE_INTERVALS["Q_T"]),
 )
-
-
-@dataclass
-class AttributionReport:
-    task: str
-    percentages: dict[str, float]            # base partition, mean over windows, sums to 100
-    composites: dict[str, float]             # derived sums
-    top3: list[tuple[str, float]]
-    n_windows: int
-    head_weights: list[float]
 
 
 def extract_importance(artifacts: ForwardArtifacts) -> np.ndarray:
@@ -85,10 +75,10 @@ def attribute(importance: np.ndarray, interval_map: IntervalMap,
     return {name: 100.0 * m / total for name, m in mass.items()}
 
 
-def _top3(pct: dict[str, float]) -> list[tuple[str, float]]:
+def _top3(pct: dict[str, float]) -> list[dict]:
     """Greedy top-3 over the candidate feature set, counting each base interval once."""
     pool = set(BASE_INTERVALS)
-    out: list[tuple[str, float]] = []
+    out: list[dict] = []
     while len(out) < 3:
         best = None
         for name, parts in FEATURE_CANDIDATES:
@@ -99,15 +89,17 @@ def _top3(pct: dict[str, float]) -> list[tuple[str, float]]:
                 best = (name, value, parts)
         if best is None or best[1] <= 0.0:
             break
-        out.append((best[0], best[1]))
+        out.append({"feature": best[0], "percent": best[1]})
         pool -= set(best[2])
     return out
 
 
 def aggregate(percentages: list[dict[str, float]], task: str,
-              head_weights: list[float]) -> AttributionReport:
-    """The report over windows: the mean of their base-interval percentages, with
-    the composites and the top 3 derived from that mean."""
+              head_weights: list[float]) -> dict:
+    """The attribution.json document over windows: `percentages`, the mean of
+    their base-interval percentages (summing to 100), with the `composites` and
+    the `top3` ({"feature", "percent"} each) derived from that mean, and the
+    `task`, `n_windows` and `head_weights`."""
     if not percentages:
         raise ValueError("nothing to aggregate")
     w = 1.0 / len(percentages)
@@ -119,10 +111,10 @@ def aggregate(percentages: list[dict[str, float]], task: str,
         name: sum(pct[part] for part in parts)
         for name, parts in COMPOSITE_INTERVALS.items()
     }
-    return AttributionReport(
-        task=task, percentages=pct, composites=composites, top3=_top3(pct),
-        n_windows=len(percentages), head_weights=head_weights,
-    )
+    return {
+        "task": task, "n_windows": len(percentages), "percentages": pct,
+        "composites": composites, "top3": _top3(pct), "head_weights": head_weights,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +125,7 @@ def _fmt(v: float) -> str:
     return f"{v:.9g}"
 
 
-def emit_report(report: AttributionReport, per_head: np.ndarray,
+def emit_report(report: dict, per_head: np.ndarray,
                 window_samples: np.ndarray, outdir: str | Path) -> dict[str, Path]:
     """Write the CSV/JSON/SVG artifact set; byte-deterministic for fixed inputs."""
     outdir = Path(outdir)
@@ -151,25 +143,13 @@ def emit_report(report: AttributionReport, per_head: np.ndarray,
     interval_csv = outdir / "attribution_intervals.csv"
     with open(interval_csv, "w", encoding="utf-8", newline="\n") as f:
         f.write("interval,percent\n")
-        for name in sorted(report.percentages):
-            f.write(f"{name},{_fmt(report.percentages[name])}\n")
-        for name in sorted(report.composites):
-            f.write(f"{name},{_fmt(report.composites[name])}\n")
+        for key in ("percentages", "composites"):
+            for name, value in sorted(report[key].items()):
+                f.write(f"{name},{_fmt(value)}\n")
     paths["intervals_csv"] = interval_csv
 
-    json_path = outdir / "attribution.json"
-    doc = {
-        "task": report.task,
-        "n_windows": report.n_windows,
-        "percentages": report.percentages,
-        "composites": report.composites,
-        "top3": [{"feature": n, "percent": v} for n, v in report.top3],
-        "head_weights": report.head_weights,
-    }
-    with open(json_path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
-        f.write("\n")
-    paths["json"] = json_path
+    paths["json"] = outdir / "attribution.json"
+    write_json(paths["json"], report)
 
     svg_path = outdir / "attribution.svg"
     with open(svg_path, "w", encoding="utf-8", newline="\n") as f:
@@ -178,7 +158,7 @@ def emit_report(report: AttributionReport, per_head: np.ndarray,
     return paths
 
 
-def _render_svg(report: AttributionReport, importance: np.ndarray,
+def _render_svg(report: dict, importance: np.ndarray,
                 samples: np.ndarray) -> str:
     """ECG trace with one shaded rectangle per patch and interval labels."""
     n = importance.size
@@ -208,10 +188,10 @@ def _render_svg(report: AttributionReport, importance: np.ndarray,
         for i, v in enumerate(s)
     )
     parts.append(f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1"/>')
-    for j, (name, value) in enumerate(report.top3):
+    for j, top in enumerate(report["top3"]):
         parts.append(
             f'<text x="{pad}" y="18" dx="{j * 320}" font-size="14" '
-            f'font-family="monospace">{name}: {_fmt(value)}%</text>'
+            f'font-family="monospace">{top["feature"]}: {_fmt(top["percent"])}%</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

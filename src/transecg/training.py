@@ -49,20 +49,6 @@ class TrainHParams:
                 raise ValueError(f"hyperparameter {name!r} must be positive")
 
 
-@dataclass
-class TrainReport:
-    epochs: list[dict]
-    best_epoch: int
-    test_metrics: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "test_metrics": self.test_metrics,
-        }
-
-
 def make_split(subject_ids: Sequence[str], offsets: Sequence[int], task: Task, seed: int,
                fractions: tuple[float, float, float] = (0.70, 0.15, 0.15)) -> SplitPlan:
     """Deterministic 70/15/15 split of windows given by subject and source offset.
@@ -70,8 +56,10 @@ def make_split(subject_ids: Sequence[str], offsets: Sequence[int], task: Task, s
     Gender and age tasks split by participant (no subject in two lists); the
     participant-ID task splits within each participant, since every subject
     is itself a class. Input ordering does not matter: windows are sorted by
-    (subject_id, source_offset) before the seeded shuffle. A split with no train
-    or no validation window is refused, naming the fraction to raise.
+    (subject_id, source_offset) before the seeded shuffle. By participant, train
+    leaves at least two participants over and val takes at least one, and fewer
+    than 3 participants are refused. A split with no train window is refused,
+    naming the fraction to raise.
     """
     if len(subject_ids) < 3:
         raise ValueError("need at least 3 windows to split")
@@ -99,10 +87,13 @@ def make_split(subject_ids: Sequence[str], offsets: Sequence[int], task: Task, s
                          fractions, f"{len(by_subject)} participants")
 
     subjects = sorted(set(subject_ids))
+    n = len(subjects)
+    if n < 3:
+        raise ValueError(f"the by_participant split needs at least 3 participants, but the "
+                         f"windows come from {n}")
     shuffled = list(rng.permutation(subjects))
-    n = len(shuffled)
-    n_train = int(round(fractions[0] * n))
-    n_val = max(1, int(round(fractions[1] * n))) if n - n_train >= 2 else max(0, n - n_train - 1)
+    n_train = min(int(round(fractions[0] * n)), n - 2)
+    n_val = max(1, int(round(fractions[1] * n)))
     groups = {
         sid: "train" for sid in shuffled[:n_train]
     }
@@ -118,17 +109,13 @@ def make_split(subject_ids: Sequence[str], offsets: Sequence[int], task: Task, s
 
 
 def _nonempty(plan: SplitPlan, fractions: tuple[float, float, float], source: str) -> SplitPlan:
-    """The plan, or a ValueError naming the fraction to raise if it has no train or
-    no validation window (by participant, val gets no one if train takes all but one)."""
+    """The plan, or a ValueError naming the fraction to raise if it has no train
+    window (make_split gives val a window whenever train has one)."""
     counts = (f"({len(plan.train)} train, {len(plan.val)} val and {len(plan.test)} test "
               f"windows from {source})")
     if not plan.train:
         raise ValueError(f"the {plan.split_mode} split leaves no train window {counts}; "
                          f"raise the train fraction ({fractions[0]}) or add participants")
-    if not plan.val:
-        raise ValueError(f"the {plan.split_mode} split leaves no validation window {counts}; "
-                         f"raise the val fraction ({fractions[1]}), taking from the train "
-                         f"fraction ({fractions[0]}), or add participants")
     return plan
 
 
@@ -150,8 +137,10 @@ def predict_probs(params, config, x: np.ndarray, batch_size: int = 64) -> np.nda
 
 
 def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
-          hparams: TrainHParams, seed: int) -> tuple[TrainReport, dict[str, Tensor]]:
-    """Optimize the model; returns the report and the best-validation parameters.
+          hparams: TrainHParams, seed: int) -> tuple[dict, dict[str, Tensor]]:
+    """Optimize the model; returns the report (`epochs`, one dict of metrics each,
+    `best_epoch`, and `test_metrics` None for the caller to fill) and the
+    best-validation parameters.
 
     Scheduler halves the learning rate after `scheduler_patience` epochs
     without validation-accuracy improvement; early stopping fires after
@@ -213,7 +202,7 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
                 break
 
     restored = {k: Tensor(v, requires_grad=True, name=k) for k, v in best_params.items()}
-    return TrainReport(epochs=epochs, best_epoch=best_epoch), restored
+    return {"epochs": epochs, "best_epoch": best_epoch, "test_metrics": None}, restored
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def test_04_r_peak_detection():
         tol = int(round(tol_s * record.fs))
         truth_set = list(truth.r_locations)
         matched = set()
-        for p in peaks.indices:
+        for p in peaks:
             close = [i for i, r in enumerate(truth_set)
                      if abs(int(p) - r) <= tol and i not in matched]
             if close:
@@ -220,12 +220,12 @@ def test_06_learning_sanity():
     hp = TrainHParams(lr=1e-2, batch_size=8, max_epochs=200, weight_decay=0.0,
                       early_stop_patience=30)
     rep, best = training.train(x, y, plan, cfg, hp, seed=0)
-    train_acc = max(e["train_accuracy"] for e in rep.epochs)
+    train_acc = max(e["train_accuracy"] for e in rep["epochs"])
     test = training.evaluate(best, cfg, x[plan.test], y[plan.test])
     ok = train_acc >= 0.95 and test["accuracy"] >= 0.80
     report(6, "learning sanity on a separable task", ok,
            f"train {train_acc:.2f}, held-out {test['accuracy']:.2f}, "
-           f"{len(rep.epochs)} epochs")
+           f"{len(rep['epochs'])} epochs")
 
 
 def test_07_identity_task():
@@ -273,15 +273,15 @@ def test_08_attribution_arithmetic():
                            np.random.default_rng(0).uniform(size=4))
     )
 
-    ok = focused.percentages["QRS"] == pytest.approx(100.0)
-    ok &= focused.top3[0][0] == "R-Wave (QRS Complex)"
-    ok &= uniform.percentages["QRS"] == pytest.approx(25.0)
-    ok &= uniform.percentages["P_WAVE"] == pytest.approx(12.5)
+    ok = focused["percentages"]["QRS"] == pytest.approx(100.0)
+    ok &= focused["top3"][0]["feature"] == "R-Wave (QRS Complex)"
+    ok &= uniform["percentages"]["QRS"] == pytest.approx(25.0)
+    ok &= uniform["percentages"]["P_WAVE"] == pytest.approx(12.5)
     for rep in (focused, uniform, rng_rep):
-        ok &= abs(sum(rep.percentages.values()) - 100.0) <= 0.01
-        values = [v for _, v in rep.top3]
+        ok &= abs(sum(rep["percentages"].values()) - 100.0) <= 0.01
+        values = [t["percent"] for t in rep["top3"]]
         ok &= values == sorted(values, reverse=True)
-        names = {n for n, _ in rep.top3}
+        names = {t["feature"] for t in rep["top3"]}
         ok &= not ({"R-Wave (QRS Complex)", "Q-T Interval"} <= names)
     report(8, "attribution arithmetic and top-3 structure", bool(ok))
 

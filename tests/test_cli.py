@@ -202,6 +202,18 @@ class TestCommands:
         assert run("evaluate", pipeline) == 0
         assert (pipeline / "metrics.json").read_bytes() == first
 
+    def test_unlabelled_subject_logged_once_with_its_window_count(self, pipeline, tmp_path,
+                                                                   caplog):
+        index = json.loads((pipeline / "windows.json").read_text())
+        for row in index["windows"]:
+            if row["subject_id"] == "S000":
+                row["gender"] = None
+        (tmp_path / "windows.json").write_text(json.dumps(index))
+        shutil.copy(pipeline / "windows.bin", tmp_path / "windows.bin")
+        assert run("train", tmp_path) == 0
+        excluded = [r.getMessage() for r in caplog.records if "excluded" in r.getMessage()]
+        assert excluded == ["record S000 excluded: no gender label (4 windows)"]
+
     def test_explain_artifacts(self, pipeline):
         assert run("explain", pipeline) == 0
         out = pipeline / "explain"
@@ -322,14 +334,14 @@ class TestErrors:
         err = capsys.readouterr().err
         assert str(tmp_path / "windows.json") in err and "2 of 2 windows are labelled" in err
 
-    def test_store_split_without_validation_exits_naming_the_fraction(self, tmp_path, capsys):
-        three = ["--set", "synth_subjects=3", "--set", "synth_duration_s=24"]
+    def test_store_of_two_participants_exits_naming_the_count(self, tmp_path, capsys):
+        two = ["--set", "synth_subjects=2", "--set", "synth_duration_s=24"]
         for command in ("synth", "preprocess"):
-            assert run(command, tmp_path, extra=three) == 0
-        assert run("train", tmp_path, extra=three) == 1
+            assert run(command, tmp_path, extra=two) == 0
+        assert run("train", tmp_path, extra=two) == 1
         err = capsys.readouterr().err
-        assert str(tmp_path / "windows.json") in err and "18 of 18 windows are labelled" in err
-        assert "no validation window" in err and "raise the val fraction (0.15)" in err
+        assert str(tmp_path / "windows.json") in err and "12 of 12 windows are labelled" in err
+        assert "needs at least 3 participants" in err and "come from 2" in err
 
     def test_non_utf8_csv_exits_naming_it_and_the_byte(self, tmp_path, capsys):
         csv = tmp_path / "s1.csv"
@@ -459,6 +471,24 @@ class TestErrors:
         extra = [arg for name, value in fractions.items() for arg in ("--set", f"{name}={value}")]
         assert run("explain", pipeline, extra=[*extra, "--set", f"checkpoint={ckpt}"]) == 1
         assert "test split is empty" in capsys.readouterr().err
+
+    def test_explain_without_attributable_window_says_why(self, tmp_path, capsys):
+        short = ["--set", "seq_len=400"]  # 1.6 s windows at 250 Hz
+        for command in ("synth", "preprocess", "train"):
+            assert run(command, tmp_path, extra=short) == 0
+        assert run("explain", tmp_path, extra=short) == 1
+        err = capsys.readouterr().err
+        assert ("no window could be attributed (4 skipped, the first because pan_tompkins "
+                "needs >= 2 s of signal, got 1.60 s)") in err
+
+    def test_evaluate_refuses_empty_test_split(self, pipeline, tmp_path, capsys):
+        fractions = {"train_frac": 0.6, "val_frac": 0.39, "test_frac": 0.01}
+        ckpt = rewrite_header(pipeline / "model.ckpt", tmp_path / "model.ckpt",
+                              lambda header: header["meta"].update(fractions))
+        extra = [arg for name, value in fractions.items() for arg in ("--set", f"{name}={value}")]
+        assert run("evaluate", pipeline, extra=[*extra, "--set", f"checkpoint={ckpt}"]) == 1
+        err = capsys.readouterr().err
+        assert str(pipeline / "windows.json") in err and "test split is empty" in err
 
     def test_bad_checkpoint_header_exits_naming_path(self, pipeline, tmp_path, capsys):
         bad = rewrite_header(pipeline / "model.ckpt", tmp_path / "zero_patch.ckpt",

@@ -15,7 +15,7 @@ from transecg.data_io import (
     build_vocab,
     load_manifest,
     load_record,
-    record_label,
+    record_labels,
     save_record_csv,
     synthesize,
 )
@@ -268,8 +268,8 @@ class TestSynthesize:
         rec, truth = synthesize(SyntheticEcgSpec(bpm=66.0, duration_s=20.0,
                                                  noise_std=0.01, seed=3))
         peaks = pan_tompkins(rec.samples, rec.fs)
-        assert len(peaks.indices) == len(truth.r_locations)
-        for got, want in zip(peaks.indices, truth.r_locations):
+        assert len(peaks) == len(truth.r_locations)
+        for got, want in zip(peaks, truth.r_locations):
             assert abs(got - want) <= 5  # 20 ms at fs=250
 
     def test_delineation_matches_truth_centers(self):
@@ -311,16 +311,13 @@ class TestLabels:
         assert build_vocab(["B", "A", "C", "A"], Task.PARTICIPANT_ID) == {"A": 0, "B": 1, "C": 2}
 
     def test_record_label_per_task(self):
-        row = {"subject_id": "S7", "gender": "female", "age_years": 40}
-        assert record_label(row, Task.GENDER, build_vocab(["S7"], Task.GENDER)) == 1
-        assert record_label(row, Task.AGE_GROUP, build_vocab(["S7"], Task.AGE_GROUP)) == 2
+        rows = [{"subject_id": "S7", "gender": "female", "age_years": 40}]
+        assert record_labels(rows, Task.GENDER, build_vocab(["S7"], Task.GENDER)) == [1]
+        assert record_labels(rows, Task.AGE_GROUP, build_vocab(["S7"], Task.AGE_GROUP)) == [2]
         vocab = build_vocab(["S7"], Task.PARTICIPANT_ID)
-        assert record_label(row, Task.PARTICIPANT_ID, vocab) == 0
+        assert record_labels(rows, Task.PARTICIPANT_ID, vocab) == [0]
 
     def test_missing_metadata_returns_none(self):
-        row = {"subject_id": "S1", "gender": None, "age_years": None}
-        assert record_label(row, Task.GENDER, build_vocab(["S1"], Task.GENDER)) is None
-        assert record_label(row, Task.AGE_GROUP, build_vocab(["S1"], Task.AGE_GROUP)) is None
-        other = {"subject_id": "S2", "gender": None, "age_years": None}
-        assert record_label(other, Task.PARTICIPANT_ID,
-                            build_vocab(["S1"], Task.PARTICIPANT_ID)) is None
+        rows = [{"subject_id": "S1", "gender": None, "age_years": None}]
+        assert record_labels(rows, Task.GENDER, build_vocab(["S1"], Task.GENDER)) == [None]
+        assert record_labels(rows, Task.AGE_GROUP, build_vocab(["S1"], Task.AGE_GROUP)) == [None]

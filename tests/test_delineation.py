@@ -29,18 +29,18 @@ class TestPanTompkins:
         record, truth = synth(60.0)
         peaks = dl.pan_tompkins(record.samples, FS)
         tol = int(0.020 * FS)
-        assert match_counts(peaks.indices, truth.r_locations, tol) == 8
-        assert peaks.indices.size == 8
+        assert match_counts(peaks, truth.r_locations, tol) == 8
+        assert peaks.size == 8
 
     def test_120bpm_finds_16_beats_no_duplicates(self):
         record, truth = synth(120.0)
         peaks = dl.pan_tompkins(record.samples, FS)
-        assert peaks.indices.size == 16
-        assert np.all(np.diff(peaks.indices) >= int(0.2 * FS))
+        assert peaks.dtype == np.int64 and peaks.size == 16
+        assert np.all(np.diff(peaks) >= int(0.2 * FS))
 
     def test_all_zero_window_empty(self):
         peaks = dl.pan_tompkins(np.zeros(2000), FS)
-        assert peaks.indices.size == 0
+        assert peaks.dtype == np.int64 and peaks.size == 0
 
     def test_short_window_rejected(self):
         with pytest.raises(ValueError):
@@ -60,8 +60,8 @@ class TestPanTompkins:
             record, truth = synth(bpm, duration=10.0, noise=0.02, seed=int(rng.integers(1 << 31)))
             peaks = dl.pan_tompkins(record.samples, FS)
             total_truth += len(truth.r_locations)
-            total_det += peaks.indices.size
-            total_match += match_counts(peaks.indices, truth.r_locations, tol)
+            total_det += peaks.size
+            total_match += match_counts(peaks, truth.r_locations, tol)
         assert total_match / total_truth >= 0.95
         assert total_match / total_det >= 0.95
 
@@ -72,7 +72,7 @@ class TestPanTompkins:
         sos = sps.butter(2, [5 / 125.0, 15 / 125.0], btype="bandpass", output="sos")
         bp = sps.sosfiltfilt(sos, record.samples)
         half = int(0.050 * FS)
-        for r in peaks.indices:
+        for r in peaks:
             lo, hi = max(0, r - half), min(bp.size, r + half + 1)
             assert bp[r] == bp[lo:hi].max()
 
@@ -99,7 +99,7 @@ class TestDelineate:
     def test_peak_near_start_clips_p(self):
         record, _ = synth(60.0)
         x = record.samples
-        peaks = dl.RPeakList(np.array([10]), FS)
+        peaks = np.array([10])
         fids = dl.delineate(x, peaks, FS)
         assert fids[0].p_on is None and fids[0].p_off is None
         assert fids[0].q is None or fids[0].q < 10
@@ -107,12 +107,12 @@ class TestDelineate:
     def test_flat_region_drops_t(self):
         x = np.zeros(2000)
         x[500] = 1.0  # lone spike, flat after
-        fids = dl.delineate(x, dl.RPeakList(np.array([500]), FS), FS)
+        fids = dl.delineate(x, np.array([500]), FS)
         assert fids[0].t_on is None and fids[0].t_off is None
 
     def test_empty_peaks_rejected(self):
         with pytest.raises(ValueError):
-            dl.delineate(np.zeros(2000), dl.RPeakList(np.array([], dtype=int), FS), FS)
+            dl.delineate(np.zeros(2000), np.array([], dtype=np.int64), FS)
 
 
 class TestIntervals:

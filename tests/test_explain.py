@@ -116,7 +116,8 @@ class TestAttribute:
         imp = np.zeros(4)
         imp[1] = 0.7
         assert self._attribute(imp)["QRS"] == pytest.approx(100.0)
-        assert self._report(imp).top3[0] == ("R-Wave (QRS Complex)", pytest.approx(100.0))
+        assert self._report(imp)["top3"][0] == {"feature": "R-Wave (QRS Complex)",
+                                                "percent": pytest.approx(100.0)}
 
     def test_uniform_importance_matches_lengths(self):
         pct = self._attribute(np.full(4, 0.2))
@@ -140,17 +141,17 @@ class TestAttribute:
 
     def test_composites_are_sums(self):
         rep = self._report(np.random.default_rng(2).uniform(size=4))
-        p = rep.percentages
-        assert rep.composites["P_R"] == pytest.approx(p["P_WAVE"] + p["PQ_SEGMENT"])
-        assert rep.composites["S_T"] == pytest.approx(p["ST_SEGMENT"] + p["T_WAVE"])
-        assert rep.composites["Q_T"] == pytest.approx(
+        p = rep["percentages"]
+        assert rep["composites"]["P_R"] == pytest.approx(p["P_WAVE"] + p["PQ_SEGMENT"])
+        assert rep["composites"]["S_T"] == pytest.approx(p["ST_SEGMENT"] + p["T_WAVE"])
+        assert rep["composites"]["Q_T"] == pytest.approx(
             p["QRS"] + p["ST_SEGMENT"] + p["T_WAVE"])
 
     def test_top3_nonincreasing_and_disjoint(self):
         rep = self._report(np.random.default_rng(3).uniform(size=4))
-        values = [v for _, v in rep.top3]
+        values = [t["percent"] for t in rep["top3"]]
         assert values == sorted(values, reverse=True)
-        names = [n for n, _ in rep.top3]
+        names = [t["feature"] for t in rep["top3"]]
         assert len(set(names)) == len(names)
         # QRS counted once: R-Wave and Q-T cannot both appear
         assert not ({"R-Wave (QRS Complex)", "Q-T Interval"} <= set(names))
@@ -167,11 +168,11 @@ class TestAttribute:
             pct["T_WAVE"] = 100.0 - qrs_pct
             windows.append(pct)
         agg = explain.aggregate(windows, "age", [1.0, 0.5])
-        assert agg.percentages["QRS"] == pytest.approx(50.0)
-        assert agg.composites["Q_T"] == pytest.approx(100.0)
-        assert agg.top3[0] == ("Q-T Interval", pytest.approx(100.0))
-        assert agg.n_windows == 3
-        assert agg.task == "age" and agg.head_weights == [1.0, 0.5]
+        assert agg["percentages"]["QRS"] == pytest.approx(50.0)
+        assert agg["composites"]["Q_T"] == pytest.approx(100.0)
+        assert agg["top3"][0] == {"feature": "Q-T Interval", "percent": pytest.approx(100.0)}
+        assert agg["n_windows"] == 3
+        assert agg["task"] == "age" and agg["head_weights"] == [1.0, 0.5]
 
     def test_aggregate_of_nothing_rejected(self):
         with pytest.raises(ValueError, match="nothing to aggregate"):
@@ -240,10 +241,7 @@ class TestEmitReport:
 
     def test_json_round_trip(self, emitted):
         rep, _, paths = emitted
-        doc = json.loads(paths["json"].read_text())
-        for name, value in rep.percentages.items():
-            assert doc["percentages"][name] == value
-        assert [t["feature"] for t in doc["top3"]] == [n for n, _ in rep.top3]
+        assert json.loads(paths["json"].read_text()) == rep
 
     def test_per_head_csv_rows(self, emitted):
         _, imp, paths = emitted

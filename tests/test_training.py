@@ -121,6 +121,19 @@ class TestMakeSplit:
         with pytest.raises(ValueError):
             tr.make_split(*make_windows(1, 2), Task.GENDER, seed=0)
 
+    @pytest.mark.parametrize("n, sizes", [(3, (1, 1, 1)), (4, (2, 1, 1)), (5, (3, 1, 1)),
+                                          (6, (4, 1, 1)), (7, (5, 1, 1)), (8, (6, 1, 1))])
+    def test_by_participant_split_of_few_participants(self, n, sizes):
+        sids, offsets = make_windows(n, 3)
+        plan = tr.make_split(sids, offsets, Task.GENDER, seed=0)
+        parts = (plan.train, plan.val, plan.test)
+        assert tuple(len({sids[i] for i in part}) for part in parts) == sizes
+        assert tuple(len(part) for part in parts) == tuple(3 * k for k in sizes)
+
+    def test_by_participant_split_of_two_participants_refused(self):
+        with pytest.raises(ValueError, match=r"needs at least 3 participants.* come from 2$"):
+            tr.make_split(*make_windows(2, 5), Task.GENDER, seed=0)
+
     def test_no_train_window_refused_naming_the_fraction(self):
         with pytest.raises(ValueError, match=r"within_participant split leaves no train window "
                                              r".*raise the train fraction \(0.2\)"):
@@ -138,7 +151,7 @@ class TestTrainLoop:
         hp = tr.TrainHParams(lr=1e-2, batch_size=8, max_epochs=200,
                              weight_decay=0.0, early_stop_patience=200)
         report, best = tr.train(x, y, plan, TINY, hp, seed=0)
-        assert report.epochs[-1]["train_accuracy"] >= 0.95
+        assert report["epochs"][-1]["train_accuracy"] >= 0.95
 
     def test_zero_lr_keeps_params(self):
         x, y = separable_dataset(n_per_class=4)
@@ -150,7 +163,7 @@ class TestTrainLoop:
         report, best = tr.train(x, y, plan, TINY, hp, seed=0)
         for k in snapshot:
             assert np.array_equal(best[k].data, snapshot[k])
-        losses = [e["train_loss"] for e in report.epochs]
+        losses = [e["train_loss"] for e in report["epochs"]]
         assert losses[0] == pytest.approx(losses[-1], rel=1e-12)
 
     def test_early_stopping_patience(self):
@@ -163,7 +176,7 @@ class TestTrainLoop:
                             split_mode="by_participant")
         hp = tr.TrainHParams(lr=0.0, batch_size=8, max_epochs=45)
         report, _ = tr.train(x, y, plan, TINY, hp, seed=0)
-        assert len(report.epochs) <= 11
+        assert len(report["epochs"]) <= 11
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError, match="lr"):
@@ -175,8 +188,8 @@ class TestTrainLoop:
                             split_mode="by_participant")
         hp = tr.TrainHParams(lr=3e-3, batch_size=8, max_epochs=20, early_stop_patience=20)
         report, _ = tr.train(x, y, plan, TINY, hp, seed=0)
-        best = report.epochs[report.best_epoch]["val_accuracy"]
-        assert best == max(e["val_accuracy"] for e in report.epochs)
+        best = report["epochs"][report["best_epoch"]]["val_accuracy"]
+        assert best == max(e["val_accuracy"] for e in report["epochs"])
 
     def test_non_finite_loss_names_batch_and_clears_tape(self):
         x, y = separable_dataset(n_per_class=4)
