@@ -393,14 +393,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 class AdamW:
     """Adam with decoupled weight decay (decay applied directly to weights)."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 1e-4):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,10 @@ SPLIT_FIELDS = ("seed", "task", "train_frac", "val_frac", "test_frac")
 
 
 @dataclass
-class RunConfig:
+class RunConfig(training.TrainHParams):
+    """Every run setting; the seven training ones are TrainHParams' fields. The
+    README's config table lists them all, with their defaults."""
+
     # model
     seq_len: int = 2000
     patch_size: int = 20
@@ -41,16 +44,9 @@ class RunConfig:
     fs_target: float = 250.0
     median_kernel: int = 5
     stride: int = 0  # 0 means non-overlapping (= seq_len)
-    # task / training
+    # task and split
     task: str = "gender"
     seed: int = 0
-    lr: float = 1e-4
-    batch_size: int = 32
-    max_epochs: int = 45
-    early_stop_patience: int = 10
-    scheduler_factor: float = 0.5
-    scheduler_patience: int = 5
-    weight_decay: float = 1e-4
     train_frac: float = 0.70
     val_frac: float = 0.15
     test_frac: float = 0.15
@@ -96,24 +92,12 @@ class RunConfig:
             raise ValueError("config fields 'train_frac', 'val_frac' and 'test_frac' must sum to 1")
         if self.task not in {t.value for t in Task}:
             raise ValueError(f"config field 'task' must be one of gender|age|id, got {self.task!r}")
-        self.hparams().validate()
+        super().validate()
 
     def vit_config(self, n_classes: int) -> vit.VitConfig:
-        return vit.VitConfig(
-            seq_len=self.seq_len, patch_size=self.patch_size,
-            hidden_dim=self.hidden_dim, n_layers=self.n_layers,
-            n_heads=self.n_heads, mlp_dim=self.mlp_dim, n_classes=n_classes,
-            survival_prob=self.survival_prob, ln_eps=self.ln_eps,
-        )
-
-    def hparams(self) -> training.TrainHParams:
-        return training.TrainHParams(
-            lr=self.lr, batch_size=self.batch_size, max_epochs=self.max_epochs,
-            weight_decay=self.weight_decay,
-            early_stop_patience=self.early_stop_patience,
-            scheduler_factor=self.scheduler_factor,
-            scheduler_patience=self.scheduler_patience,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(vit.VitConfig)
+                  if f.name != "n_classes"}
+        return vit.VitConfig(n_classes=n_classes, **shared)
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -203,9 +187,8 @@ def cmd_preprocess(cfg: RunConfig) -> str:
                     raise ValueError(f"{manifest_path}: record {i} field 'fs': {e}") from None
                 record = data_io.load_record(entry)
                 offsets, rows = signal_core.preprocess_record(
-                    record, spec=spec, fs_target=cfg.fs_target,
-                    median_kernel=cfg.median_kernel, seq_len=cfg.seq_len,
-                    stride=cfg.stride or None, source=entry.csv_path,
+                    record, spec, cfg.fs_target, cfg.median_kernel, cfg.seq_len,
+                    stride=cfg.stride or cfg.seq_len, source=entry.csv_path,
                 )
                 f.write(rows.astype("<f8", copy=False).tobytes())
                 excluded += not len(rows)
@@ -311,7 +294,7 @@ def _load_model_and_store(
 def cmd_train(cfg: RunConfig) -> str:
     x, y, vocab, plan = load_store(cfg, cfg.seq_len, "the config")
     config = cfg.vit_config(len(vocab))
-    report, best = training.train(x, y, plan, config, cfg.hparams(), cfg.seed)
+    report, best = training.train(x, y, plan, config, cfg, cfg.seed)
     if plan.test:
         report["test_metrics"] = training.evaluate(best, config, x[plan.test], y[plan.test],
                                                    task=Task(cfg.task))

@@ -7,6 +7,7 @@ import io
 import json
 import logging
 import reprlib
+import sys
 import warnings
 from collections import Counter
 from collections.abc import Iterable
@@ -44,11 +45,15 @@ def json_value(value, kind: type, what: str):
     """`value` if it has `kind`'s JSON type, else a ValueError naming `what`.
 
     The one type rule for every JSON document the program reads: a str takes a
-    string, an int an integer, a float an integer or a float (kept as given), a
-    list a list and a dict an object. A bool passes for none of them."""
+    string, an int an integer, a float an integer or a float (kept as given)
+    within the finite float64 range, a list a list and a dict an object. A bool
+    passes for none of them."""
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{what} expects {kind.__name__}, got {reprlib.repr(value)}")
+    # false for NaN and ±inf (json.loads and float() read both) and for an int beyond float64
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} expects a finite float, got {reprlib.repr(value)}")
     return value
 
 

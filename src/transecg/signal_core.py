@@ -15,9 +15,6 @@ from scipy import signal as sps
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SEQ_LEN = 2000
-DEFAULT_FS = 250.0
-
 
 @dataclass
 class EcgRecord:
@@ -45,10 +42,10 @@ class EcgRecord:
 class FilterSpec:
     """Butterworth bandpass specification (edges in Hz)."""
 
-    low_hz: float = 0.5
-    high_hz: float = 40.0
-    order: int = 4
-    fs: float = DEFAULT_FS
+    low_hz: float
+    high_hz: float
+    order: int
+    fs: float
 
     def __post_init__(self):
         if not (0.0 < self.low_hz < self.high_hz < self.fs / 2.0):
@@ -132,11 +129,7 @@ def minmax_normalize(x: np.ndarray) -> np.ndarray:
     return (x - lo) / np.where(span == 0.0, 1.0, span)
 
 
-def window(
-    x: np.ndarray,
-    seq_len: int = DEFAULT_SEQ_LEN,
-    stride: int | None = None,
-) -> np.ndarray:
+def window(x: np.ndarray, seq_len: int, stride: int) -> np.ndarray:
     """Cut a filtered, resampled trace into min-max normalized windows.
 
     Returns a [n, seq_len] array whose row i holds samples
@@ -145,7 +138,6 @@ def window(
     """
     if seq_len <= 0:
         raise ValueError("seq_len must be positive")
-    stride = seq_len if stride is None else stride
     if stride <= 0:
         raise ValueError("stride must be positive")
     x = np.asarray(x, dtype=np.float64)
@@ -154,15 +146,8 @@ def window(
     return minmax_normalize(np.lib.stride_tricks.sliding_window_view(x, seq_len)[::stride])
 
 
-def preprocess_record(
-    record: EcgRecord,
-    spec: FilterSpec | None = None,
-    fs_target: float = DEFAULT_FS,
-    median_kernel: int = 5,
-    seq_len: int = DEFAULT_SEQ_LEN,
-    stride: int | None = None,
-    source: object = None,
-) -> tuple[range, np.ndarray]:
+def preprocess_record(record: EcgRecord, spec: FilterSpec, fs_target: float, median_kernel: int,
+                      seq_len: int, stride: int, source: object = None) -> tuple[range, np.ndarray]:
     """Full preprocessing chain: bandpass, median, resample, window, normalize.
 
     Returns (offsets, windows): row i of the [n, seq_len] windows starts at
@@ -170,7 +155,6 @@ def preprocess_record(
     kernel or for one window gives no rows and is logged as excluded, with
     `source`, where it was read from, if given.
     """
-    spec = spec or FilterSpec(fs=record.fs)
     sos = design_butterworth_bandpass(spec)
     name = record.subject_id if source is None else f"{record.subject_id} ({source})"
     pad = filter_pad_length(sos)
@@ -185,8 +169,7 @@ def preprocess_record(
     x = filtfilt(sos, record.samples)
     x = median_filter(x, median_kernel)
     x = resample(x, record.fs, fs_target)
-    stride = seq_len if stride is None else stride
-    windows = window(x, seq_len=seq_len, stride=stride)
+    windows = window(x, seq_len, stride)
     if not len(windows):
         logger.warning("record %s excluded: %d samples < window length %d", name, x.size, seq_len)
     return range(0, len(windows) * stride, stride), windows

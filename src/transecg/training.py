@@ -50,16 +50,18 @@ class TrainHParams:
 
 
 def make_split(subject_ids: Sequence[str], offsets: Sequence[int], task: Task, seed: int,
-               fractions: tuple[float, float, float] = (0.70, 0.15, 0.15)) -> SplitPlan:
-    """Deterministic 70/15/15 split of windows given by subject and source offset.
+               fractions: tuple[float, float, float]) -> SplitPlan:
+    """Deterministic train/val/test split by `fractions` of windows given by
+    subject and source offset.
 
     Gender and age tasks split by participant (no subject in two lists); the
     participant-ID task splits within each participant, since every subject
     is itself a class. Input ordering does not matter: windows are sorted by
     (subject_id, source_offset) before the seeded shuffle. By participant, train
     leaves at least two participants over and val takes at least one, and fewer
-    than 3 participants are refused. A split with no train window is refused,
-    naming the fraction to raise.
+    than 3 participants are refused. Within participants, a participant with
+    fewer than 3 windows is left out, and the split is refused if all are. A
+    split with no train window is refused, naming the fraction to raise.
     """
     if len(subject_ids) < 3:
         raise ValueError("need at least 3 windows to split")
@@ -70,6 +72,10 @@ def make_split(subject_ids: Sequence[str], offsets: Sequence[int], task: Task, s
         by_subject: dict[str, list[int]] = {}
         for i in order:
             by_subject.setdefault(subject_ids[i], []).append(i)
+        most = max(len(idx) for idx in by_subject.values())
+        if most < 3:
+            raise ValueError(f"the within_participant split needs 3 windows of a participant, "
+                             f"but each of the {len(by_subject)} participants has at most {most}")
         train, val, test = [], [], []
         for sid in sorted(by_subject):
             idx = by_subject[sid]

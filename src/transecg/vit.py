@@ -220,7 +220,8 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], VitConfig, dict[str, int],
             doc = data_io.json_value(json.loads(header), dict, "header")
             stored = data_io.json_field(doc, "config", dict, "header")
             for field in fields(VitConfig):  # a default would silently stand in
-                data_io.json_field(stored, field.name, type(field.default), "config")
+                if field.name not in stored:
+                    raise ValueError(f"config has no field {field.name!r}")
             config = data_io.json_dataclass(VitConfig(), stored, "config")
             vocab = data_io.json_field(doc, "vocab", dict, "header")
             meta = data_io.json_field(doc, "meta", dict, "header")

@@ -242,13 +242,14 @@ def test_07_identity_task():
             bpm=60.0, duration_s=48.0, fs=250.0, waves=waves,
             noise_std=0.01, seed=i, subject_id=f"S{i:03d}",
         ))
-        rows = signal_core.window(record.samples, seq_len=cfg.seq_len)
+        rows = signal_core.window(record.samples, cfg.seq_len, cfg.seq_len)
         xs.extend(rows)
         subject_ids += [record.subject_id] * len(rows)
         offsets += range(0, len(rows) * cfg.seq_len, cfg.seq_len)
         y += [i] * len(rows)
     x, y = np.array(xs), np.array(y)
-    plan = training.make_split(subject_ids, offsets, Task.PARTICIPANT_ID, seed=0)
+    plan = training.make_split(subject_ids, offsets, Task.PARTICIPANT_ID, seed=0,
+                               fractions=(0.70, 0.15, 0.15))
     hp = TrainHParams(lr=1e-2, batch_size=8, max_epochs=100, weight_decay=0.0,
                       early_stop_patience=30)
     _, best = training.train(x, y, plan, cfg, hp, seed=0)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from transecg import autodiff, cli, data_io, vit
+from transecg import autodiff, cli, data_io, training, vit
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TINY_ARGS = [
     "--set", "seq_len=1000", "--set", "patch_size=50",
@@ -84,6 +86,23 @@ class TestConfig:
     def test_defaults_valid(self):
         cli.RunConfig().validate()
 
+    def test_readme_config_table_matches_run_config(self):
+        """The README's table lists every RunConfig field in order, with its
+        default as JSON and its owner."""
+        rows = [[cell.strip().strip("`") for cell in line.split("|")[1:4]]
+                for line in README.read_text(encoding="utf-8").splitlines()
+                if line.startswith("| `")]
+        got = [(name, json.loads(default), type(json.loads(default))) for name, default, _ in rows]
+        want = [(f.name, f.default, type(f.default)) for f in dataclasses.fields(cli.RunConfig)]
+        assert got == want
+        owners = {f.name: cls.__name__ for cls in (training.TrainHParams, vit.VitConfig)
+                  for f in dataclasses.fields(cls)}
+        for name, _, owner in rows:
+            if name in owners:
+                assert owner == owners[name], name
+            else:
+                assert owner in ("preprocessing", "run"), name
+
     def test_negative_lr_names_field(self):
         cfg = cli.RunConfig(lr=-1.0)
         with pytest.raises(ValueError, match="lr"):
@@ -112,9 +131,10 @@ class TestConfig:
         ({"seed": "abc"}, "seed", "int"), ({"max_epochs": 1.5}, "max_epochs", "int"),
         ({"batch_size": True}, "batch_size", "int"), ({"lr": "fast"}, "lr", "float"),
         ({"lr": False}, "lr", "float"), ({"task": 1}, "task", "str"),
-        ({"seed": None}, "seed", "int"),
+        ({"seed": None}, "seed", "int"), ({"lr": float("nan")}, "lr", "finite float"),
+        ({"lr": 10**400}, "lr", "finite float"),
     ], ids=["seed-str", "max_epochs-float", "batch_size-bool", "lr-str", "lr-bool",
-            "task-int", "seed-null"])
+            "task-int", "seed-null", "lr-nan", "lr-int-beyond-float64"])
     def test_bad_config_file_value_exits_naming_field_type_and_path(
             self, tmp_path, capsys, doc, field, kind):
         cfile = tmp_path / "cfg.json"
@@ -214,6 +234,16 @@ class TestCommands:
         excluded = [r.getMessage() for r in caplog.records if "excluded" in r.getMessage()]
         assert excluded == ["record S000 excluded: no gender label (4 windows)"]
 
+    def test_default_stride_is_seq_len(self, pipeline, tmp_path):
+        index = json.loads((pipeline / "windows.json").read_text())
+        offsets = [row["source_offset"] for row in index["windows"] if row["subject_id"] == "S000"]
+        assert offsets == [0, 1000, 2000, 3000]  # seq_len 1000 in TINY_ARGS
+        manifest = pipeline / "data" / "manifest.json"
+        assert run("preprocess", tmp_path,
+                   extra=["--set", f"manifest={manifest}", "--set", "stride=1000"]) == 0
+        for name in ("windows.bin", "windows.json"):
+            assert (tmp_path / name).read_bytes() == (pipeline / name).read_bytes()
+
     def test_explain_artifacts(self, pipeline):
         assert run("explain", pipeline) == 0
         out = pipeline / "explain"
@@ -258,10 +288,10 @@ class TestErrors:
         ([record(fs=True)], "fs"), ([record(fs="250")], "fs"), ([record(fs=1.0)], "fs"),
         ([record(age_years=41.7)], "age_years"), ([record(age_years="41")], "age_years"),
         ([record(subject_id=5)], "subject_id"), ([record(csv=None)], "csv"),
-        ([record(gender=5)], "gender"),
+        ([record(gender=5)], "gender"), ([record(fs=float("inf"))], "fs"),
     ], ids=["records-object", "row-not-object", "fs-str", "age_years-str", "fs-bool",
             "fs-numeric-str", "fs-too-low", "age_years-fraction", "age_years-numeric-str",
-            "subject_id-int", "csv-null", "gender-int"])
+            "subject_id-int", "csv-null", "gender-int", "fs-infinity"])
     def test_bad_manifest_exits_naming_manifest_and_field(self, tmp_path, capsys,
                                                           records, field):
         (tmp_path / "s1.csv").write_text("amplitude\n0.0\n1.0\n")
@@ -418,6 +448,10 @@ class TestErrors:
         (["synth_bpm=210"], "synth_bpm"),
         (["synth_bpm=20"], "synth_bpm"),
         (["synth_duration_s=0.001"], "synth_duration_s"),
+        (["lr=nan"], "lr"),
+        (["fs_target=inf"], "fs_target"),
+        (["synth_duration_s=inf"], "synth_duration_s"),
+        (["synth_noise_std=inf"], "synth_noise_std"),
     ])
     def test_bad_config_exits_naming_field(self, tmp_path, capsys, overrides, field):
         extra = [arg for item in overrides for arg in ("--set", item)]
@@ -529,6 +563,23 @@ class TestErrors:
         assert run("explain", pipeline, extra=["--set", "fs_target=500"]) == 1
         err = capsys.readouterr().err
         assert "windows.json" in err and "'fs'" in err and "250.0" in err and "500.0" in err
+
+    def test_store_non_finite_fs_exits_naming_it(self, pipeline, tmp_path, capsys):
+        index = json.loads((pipeline / "windows.json").read_text())
+        index["fs"] = float("nan")
+        (tmp_path / "windows.json").write_text(json.dumps(index))
+        shutil.copy(pipeline / "windows.bin", tmp_path / "windows.bin")
+        assert run("train", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'windows.json'} field 'fs' expects a finite float, got nan" in err
+
+    def test_checkpoint_header_non_finite_float_exits_naming_it(self, pipeline, tmp_path,
+                                                                capsys):
+        bad = rewrite_header(pipeline / "model.ckpt", tmp_path / "bad.ckpt",
+                             lambda header: header["config"].update(ln_eps=float("nan")))
+        assert run("evaluate", pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "config field 'ln_eps' expects a finite float" in err
 
     @pytest.mark.parametrize("content", [b"{oops", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
     @pytest.mark.parametrize("document", ["config.json", "manifest.json", "windows.json"])

@@ -161,10 +161,10 @@ class TestWindow:
         assert np.array_equal(wins[1], sc.minmax_normalize(x[2000:4000]))
 
     def test_short_record_excluded(self):
-        assert sc.window(np.arange(1999.0), 2000).shape == (0, 2000)
+        assert sc.window(np.arange(1999.0), 2000, 2000).shape == (0, 2000)
 
     def test_exact_length_single_window(self):
-        assert len(sc.window(np.arange(2000.0), 2000)) == 1
+        assert len(sc.window(np.arange(2000.0), 2000, 2000)) == 1
 
     @pytest.mark.parametrize("n,seq,stride", [(7000, 2000, 1000), (6000, 2000, 2000), (2500, 500, 250)])
     def test_window_count_formula(self, n, seq, stride):
@@ -173,7 +173,7 @@ class TestWindow:
 
     def test_windows_normalized(self):
         rng = np.random.default_rng(5)
-        for w in sc.window(rng.normal(size=4000), 2000):
+        for w in sc.window(rng.normal(size=4000), 2000, 2000):
             assert w.min() == 0.0 and w.max() == 1.0
 
 
@@ -198,22 +198,25 @@ def test_window_matches_per_window_loop(x, seq_len, stride):
 
 
 class TestPreprocessRecord:
+    SPEC = sc.FilterSpec(0.5, 40.0, 4, 250.0)
+
     @staticmethod
     def _record(n):
         return sc.EcgRecord("s1", np.random.default_rng(6).normal(size=n), 250.0)
 
-    @pytest.mark.parametrize("stride,offsets", [(None, [0, 2000]), (1000, [0, 1000, 2000, 3000])])
+    @pytest.mark.parametrize("stride,offsets", [(2000, [0, 2000]), (1000, [0, 1000, 2000, 3000])])
     def test_offsets_match_rows(self, stride, offsets):
-        got, wins = sc.preprocess_record(self._record(5000), stride=stride)
+        got, wins = sc.preprocess_record(self._record(5000), self.SPEC, 250.0, 5, 2000, stride)
         assert list(got) == offsets
         assert wins.shape == (len(offsets), 2000)
 
     def test_short_record_logged_as_excluded(self, caplog):
-        offsets, wins = sc.preprocess_record(self._record(1999))
+        offsets, wins = sc.preprocess_record(self._record(1999), self.SPEC, 250.0, 5, 2000, 2000)
         assert list(offsets) == [] and wins.shape == (0, 2000)
         assert "record s1 excluded" in caplog.text
 
     def test_record_too_short_to_filter_logged_as_excluded(self, caplog):
-        offsets, wins = sc.preprocess_record(self._record(27), seq_len=10, source="s1.csv")
+        offsets, wins = sc.preprocess_record(self._record(27), self.SPEC, 250.0, 5, 10, 10,
+                                             source="s1.csv")
         assert list(offsets) == [] and wins.shape == (0, 10)
         assert "record s1 (s1.csv) excluded: 27 samples, too few to filter" in caplog.text

@@ -12,6 +12,10 @@ TINY = vit.VitConfig(seq_len=40, patch_size=10, hidden_dim=8, n_layers=2,
                      n_heads=2, mlp_dim=16, n_classes=2, survival_prob=1.0)
 
 
+# the paper's 70/15/15 split
+PAPER_FRACTIONS = (0.70, 0.15, 0.15)
+
+
 def make_windows(n_subjects, per_subject):
     """Subject IDs and source offsets of per_subject windows for each subject."""
     sids = [f"S{s:03d}" for s in range(n_subjects) for _ in range(per_subject)]
@@ -79,7 +83,7 @@ class TestCrossEntropy:
 class TestMakeSplit:
     def test_by_participant_no_overlap(self):
         sids, offsets = make_windows(10, 10)
-        plan = tr.make_split(sids, offsets, Task.GENDER, seed=0)
+        plan = tr.make_split(sids, offsets, Task.GENDER, seed=0, fractions=PAPER_FRACTIONS)
         assert plan.split_mode == "by_participant"
         groups = [{sids[i] for i in part} for part in (plan.train, plan.val, plan.test)]
         assert not (groups[0] & groups[1]) and not (groups[0] & groups[2])
@@ -89,7 +93,7 @@ class TestMakeSplit:
 
     def test_within_participant_all_classes_everywhere(self):
         sids, offsets = make_windows(5, 8)
-        plan = tr.make_split(sids, offsets, Task.PARTICIPANT_ID, seed=1)
+        plan = tr.make_split(sids, offsets, Task.PARTICIPANT_ID, seed=1, fractions=PAPER_FRACTIONS)
         assert plan.split_mode == "within_participant"
         for part in (plan.train, plan.val, plan.test):
             assert {sids[i] for i in part} == {
@@ -99,19 +103,19 @@ class TestMakeSplit:
     def test_id_task_excludes_sparse_participants(self):
         sids, offsets = make_windows(3, 4)
         sids, offsets = sids + ["S999", "S999"], offsets + [0, 2000]
-        plan = tr.make_split(sids, offsets, Task.PARTICIPANT_ID, seed=0)
+        plan = tr.make_split(sids, offsets, Task.PARTICIPANT_ID, seed=0, fractions=PAPER_FRACTIONS)
         used = {sids[i] for part in (plan.train, plan.val, plan.test) for i in part}
         assert "S999" not in used
 
     def test_deterministic_and_order_invariant(self):
         sids, offsets = make_windows(8, 6)
-        a = tr.make_split(sids, offsets, Task.GENDER, seed=7)
-        b = tr.make_split(sids, offsets, Task.GENDER, seed=7)
+        a = tr.make_split(sids, offsets, Task.GENDER, seed=7, fractions=PAPER_FRACTIONS)
+        b = tr.make_split(sids, offsets, Task.GENDER, seed=7, fractions=PAPER_FRACTIONS)
         assert (a.train, a.val, a.test) == (b.train, b.val, b.test)
         # shuffled input ordering maps to the same window identities
         perm = np.random.default_rng(0).permutation(len(sids))
         sids2, offsets2 = [sids[i] for i in perm], [offsets[i] for i in perm]
-        c = tr.make_split(sids2, offsets2, Task.GENDER, seed=7)
+        c = tr.make_split(sids2, offsets2, Task.GENDER, seed=7, fractions=PAPER_FRACTIONS)
         def keyset(s, o, idx):
             return sorted((s[i], o[i]) for i in idx)
         assert keyset(sids, offsets, a.train) == keyset(sids2, offsets2, c.train)
@@ -119,26 +123,33 @@ class TestMakeSplit:
 
     def test_too_few_windows_rejected(self):
         with pytest.raises(ValueError):
-            tr.make_split(*make_windows(1, 2), Task.GENDER, seed=0)
+            tr.make_split(*make_windows(1, 2), Task.GENDER, seed=0, fractions=PAPER_FRACTIONS)
 
     @pytest.mark.parametrize("n, sizes", [(3, (1, 1, 1)), (4, (2, 1, 1)), (5, (3, 1, 1)),
                                           (6, (4, 1, 1)), (7, (5, 1, 1)), (8, (6, 1, 1))])
     def test_by_participant_split_of_few_participants(self, n, sizes):
         sids, offsets = make_windows(n, 3)
-        plan = tr.make_split(sids, offsets, Task.GENDER, seed=0)
+        plan = tr.make_split(sids, offsets, Task.GENDER, seed=0, fractions=PAPER_FRACTIONS)
         parts = (plan.train, plan.val, plan.test)
         assert tuple(len({sids[i] for i in part}) for part in parts) == sizes
         assert tuple(len(part) for part in parts) == tuple(3 * k for k in sizes)
 
     def test_by_participant_split_of_two_participants_refused(self):
         with pytest.raises(ValueError, match=r"needs at least 3 participants.* come from 2$"):
-            tr.make_split(*make_windows(2, 5), Task.GENDER, seed=0)
+            tr.make_split(*make_windows(2, 5), Task.GENDER, seed=0, fractions=PAPER_FRACTIONS)
 
     def test_no_train_window_refused_naming_the_fraction(self):
         with pytest.raises(ValueError, match=r"within_participant split leaves no train window "
                                              r".*raise the train fraction \(0.2\)"):
             tr.make_split(*make_windows(2, 4), Task.PARTICIPANT_ID, seed=0,
                           fractions=(0.2, 0.4, 0.4))
+
+    def test_within_participant_split_of_too_few_windows_names_the_cause(self):
+        with pytest.raises(ValueError, match=r"within_participant split needs 3 windows of a "
+                                             r"participant, but each of the 5 participants "
+                                             r"has at most 2$"):
+            tr.make_split(*make_windows(5, 2), Task.PARTICIPANT_ID, seed=0,
+                          fractions=PAPER_FRACTIONS)
 
 
 class TestTrainLoop:
