@@ -30,11 +30,10 @@ _GRAD_ENABLED = False  # True inside recording()
 class Tensor:
     """A dense float64 array, optionally tracked for gradients."""
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.name = name
         self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
@@ -45,10 +44,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
     def accumulate(self, g: np.ndarray) -> None:
         # the first gradient is copied: g may be a view of, or the same array
         # as, a gradient handed to another input of the same op
@@ -56,14 +51,6 @@ class Tensor:
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
-
-    def __getitem__(self, key):
-        return index(self, key)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 @contextlib.contextmanager
@@ -150,26 +137,9 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """a @ b, plus bias broadcast over the rows when given (b must then be 2D)."""
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    if b.data.ndim == 2:
-        return _matmul_rows(a, b, bias)
-    if bias is not None:
-        raise ValueError("matmul takes a bias only with a 2D right operand")
-    out = Tensor(a.data @ b.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return _record(out, (a, b), bwd)
-
-
-def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
     """[..., K] @ [K, N] (+ bias) as one [M, K] @ [K, N] GEMM over the flattened rows."""
+    if b.data.ndim != 2 or a.data.ndim < 1 or a.shape[-1] != b.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}, not [..., K] @ [K, N]")
     k, n = b.shape
     a2 = a.data.reshape(-1, k)
     y = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
@@ -189,9 +159,7 @@ def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
     return _record(out, (a, b) if bias is None else (a, b, bias), bwd)
 
 
-def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    if axes is None:
-        axes = tuple(range(a.data.ndim - 2)) + (a.data.ndim - 1, a.data.ndim - 2)
+def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = Tensor(np.transpose(a.data, axes))
     inv = np.argsort(axes)
 

@@ -68,9 +68,10 @@ class RunConfig(training.TrainHParams):
         for name in ("fs_target", "synth_subjects", "synth_duration_s", "explain_windows"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name!r} must be positive")
-        if round(self.synth_duration_s * self.fs_target) < 1:
+        if self.synth_duration_s > 86400 or round(self.synth_duration_s * self.fs_target) < 1:
             raise ValueError(f"config field 'synth_duration_s' must give at least one sample "
-                             f"at fs_target {self.fs_target} Hz, got {self.synth_duration_s} s")
+                             f"at fs_target {self.fs_target} Hz and be at most 86400 s (24 h), "
+                             f"got {self.synth_duration_s} s")
         for name in ("stride", "synth_noise_std"):
             if getattr(self, name) < 0:
                 raise ValueError(f"config field {name!r} must be non-negative")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
+from .signal_core import FilterSpec, design_butterworth_bandpass
+
 logger = logging.getLogger(__name__)
 
 REFRACTORY_S = 0.200
@@ -54,8 +56,7 @@ def pan_tompkins(x: np.ndarray, fs: float) -> np.ndarray:
     if np.ptp(x) == 0.0:
         return np.array([], dtype=np.int64)
 
-    nyq = fs / 2.0
-    sos = sps.butter(2, [5.0 / nyq, 15.0 / nyq], btype="bandpass", output="sos")
+    sos = design_butterworth_bandpass(FilterSpec(5.0, 15.0, 2, fs))
     # the whole chain runs on an even-reflected extension so a beat cut off at
     # a record boundary still produces a genuine local maximum there
     pad = int(fs)

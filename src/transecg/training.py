@@ -15,9 +15,6 @@ from .data_io import Task
 
 logger = logging.getLogger(__name__)
 
-# the validation loss floors stored probabilities, which can underflow where logits cannot
-PROB_FLOOR = 1e-12
-
 
 @dataclass
 class SplitPlan:
@@ -131,15 +128,19 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[lo:lo + batch_size]
 
 
-def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(np.argmax(probs, axis=1) == labels))
+def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
+    return float(np.mean(np.argmax(scores, axis=1) == labels))
 
 
-def predict_probs(params, config, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
+def predict_logits(params, config, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    """Inference-mode class logits of windows, in batches of `batch_size`."""
+    return np.concatenate([vit.forward(x[lo:lo + batch_size], params, config).logits.data
+                           for lo in range(0, x.shape[0], batch_size)], axis=0)
+
+
+def predict_probs(params, config, x: np.ndarray) -> np.ndarray:
     """Inference-mode class probabilities of windows: the softmax of their logits."""
-    outs = [ad.softmax(vit.forward(x[lo:lo + batch_size], params, config).logits).data
-            for lo in range(0, x.shape[0], batch_size)]
-    return np.concatenate(outs, axis=0)
+    return ad.softmax(Tensor(predict_logits(params, config, x))).data
 
 
 def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
@@ -182,10 +183,9 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
             losses.append(float(loss.data))
             correct += int(np.sum(np.argmax(art.logits.data, axis=1) == y_tr[idx]))
 
-        val_probs = predict_probs(params, config, x_val)
-        picked = val_probs[np.arange(len(y_val)), y_val]
-        val_loss = float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
-        val_acc = _accuracy(val_probs, y_val)
+        val_logits = predict_logits(params, config, x_val)
+        val_loss = float(cross_entropy(Tensor(val_logits), y_val).data)
+        val_acc = _accuracy(val_logits, y_val)
         epochs.append({
             "epoch": epoch,
             "train_loss": float(np.mean(losses)),
@@ -207,7 +207,7 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
             if stall >= hparams.early_stop_patience:
                 break
 
-    restored = {k: Tensor(v, requires_grad=True, name=k) for k, v in best_params.items()}
+    restored = {k: Tensor(v, requires_grad=True) for k, v in best_params.items()}
     return {"epochs": epochs, "best_epoch": best_epoch, "test_metrics": None}, restored
 
 

@@ -12,7 +12,8 @@ An encoder layer that keeps both branches records ten autodiff nodes: the
 q, k and v projections, one `autodiff.attention` node for the heads, the
 output projection, two `autodiff.layer_norm` nodes that each add their
 residual branch (scaled by 1/p for stochastic depth), and the two biased FFN
-linears around a GELU.
+linears around a GELU. With the embed's four, the head's two and the loss,
+a train step tapes 10·n_layers + 7 nodes.
 """
 
 from __future__ import annotations
@@ -115,16 +116,18 @@ def init_params(config: VitConfig, seed: int) -> dict[str, Tensor]:
             p[name] = _truncated_normal(rng, shape)
         else:
             p[name] = np.ones(shape) if name.endswith("gamma") else np.zeros(shape)
-    return {k: Tensor(v, requires_grad=True, name=k) for k, v in p.items()}
+    return {k: Tensor(v, requires_grad=True) for k, v in p.items()}
 
 
 def embed_patches(x: Tensor, params: dict[str, Tensor], config: VitConfig) -> Tensor:
-    """Project patches and prepend the class token: [B, seq_len] -> [B, N+1, D]."""
+    """Project patches and prepend the class token: [B, seq_len] -> [B, N+1, D].
+    Tapes four nodes (the windows' reshape needs no gradient): the patch GEMM, the
+    class token [D] added onto [B, 1, D] zeros, their concat and the positions."""
     b = x.shape[0]
     n, d = config.n_patches, config.hidden_dim
-    patches = x.reshape((b, n, config.patch_size))
+    patches = ad.reshape(x, (b, n, config.patch_size))
     z = ad.matmul(patches, params["embed.E"])                   # [B, N, D]
-    cls = ad.add(Tensor(np.zeros((b, 1, d))), params["embed.cls"].reshape((1, 1, d)))
+    cls = ad.add(Tensor(np.zeros((b, 1, d))), params["embed.cls"])
     z0 = ad.concat([cls, z], axis=1)
     return ad.add(z0, params["embed.E_pos"])
 
@@ -182,7 +185,7 @@ def forward(x: np.ndarray | Tensor, params: dict[str, Tensor], config: VitConfig
             z, params, layer, config,
             training=training, rng=rng, capture=capture_attention and layer == last,
         )
-    z0 = z[:, 0, :]                                  # [B, D]
+    z0 = ad.index(z, (slice(None), 0))               # [B, D]
     logits = ad.matmul(z0, params["head.w"], params["head.b"])
     return ForwardArtifacts(logits=logits, attention=maps)
 
@@ -235,6 +238,6 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], VitConfig, dict[str, int],
     shapes = param_shapes(config)
     sizes = [math.prod(shape) for shape in shapes.values()]
     chunks = np.split(flat, np.cumsum(sizes)[:-1])
-    params = {name: Tensor(chunk.reshape(shape), name=name)
+    params = {name: Tensor(chunk.reshape(shape))
               for (name, shape), chunk in zip(shapes.items(), chunks)}
     return params, config, vocab, meta

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -115,9 +116,9 @@ class TestGradients:
 
         def build(t):
             a = ad.transpose(t[0], (1, 0, 2))
-            b = a.reshape((6, 4))
+            b = ad.reshape(a, (6, 4))
             c = ad.concat([b, t[1]], axis=0)
-            return project(c[1:5, :], w)
+            return project(ad.index(c, (slice(1, 5), slice(None))), w)
         check_op(build, [self.rng.normal(size=(2, 3, 4)), self.rng.normal(size=(2, 4))])
 
     def test_cross_entropy(self):
@@ -221,17 +222,32 @@ def test_confidently_wrong_window_keeps_its_gradient():
 # bit for bit; the bound is the one a reordered sum would still meet.
 
 
+def _bmm(a, b):
+    """Batched [..., M, K] @ [..., K, N] over equal leading axes, taped through
+    ad._record. The engine's matmul takes only a 2-D right operand, since the
+    model runs no other; the attention oracle needs this one."""
+    out = Tensor(a.data @ b.data)
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate(g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
+
+    return ad._record(out, (a, b), bwd)
+
+
 def _unfused_attention(q, k, v, n_heads):
     b, t, hdh = q.shape
     dh = hdh // n_heads
 
     def heads(y):
-        return ad.transpose(y.reshape((b, t, n_heads, dh)), (0, 2, 1, 3))
+        return ad.transpose(ad.reshape(y, (b, t, n_heads, dh)), (0, 2, 1, 3))
 
     qh, kh, vh = heads(q), heads(k), heads(v)
-    scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    scores = ad.scale(_bmm(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     attn = ad.softmax(scores, axis=-1)
-    out = ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)).reshape((b, t, hdh))
+    out = ad.reshape(ad.transpose(_bmm(attn, vh), (0, 2, 1, 3)), (b, t, hdh))
     return out, attn.data
 
 
@@ -294,9 +310,32 @@ def test_biased_linear_matches_unfused(lead, k, n, seed):
     _assert_close(fused, unfused)
 
 
+@given(data=st.data())
+def test_matmul_refuses_all_but_a_2d_right_operand_of_matching_k(data):
+    """A right operand of rank other than 2, or whose K is not a's last axis, is
+    refused, with or without a bias, naming both shapes and taping nothing."""
+    dims = st.integers(1, 4)
+    a_shape = tuple(data.draw(st.lists(dims, min_size=1, max_size=3), label="a_shape"))
+    k = a_shape[-1]
+    b_rank = data.draw(st.sampled_from([0, 1, 2, 3, 4]), label="b_rank")
+    if b_rank == 2:
+        b_shape = (data.draw(dims.filter(lambda m: m != k), label="wrong_k"), data.draw(dims))
+    else:
+        b_shape = tuple(data.draw(st.lists(dims, min_size=b_rank, max_size=b_rank)))
+    bias = Tensor(np.zeros(b_shape[-1:] or (1,)), requires_grad=True) \
+        if data.draw(st.booleans(), label="bias") else None
+    a = Tensor(np.zeros(a_shape), requires_grad=True)
+    b = Tensor(np.zeros(b_shape), requires_grad=True)
+    with ad.recording():
+        with pytest.raises(ValueError, match="matmul shape mismatch") as err:
+            ad.matmul(a, b, bias)
+        assert f"{a_shape} @ {b_shape}" in str(err.value)
+        assert ad._TAPE == []
+
+
 class TestFusedOpInputs:
     def test_bias_needs_2d_right_operand(self):
-        with pytest.raises(ValueError, match="bias"):
+        with pytest.raises(ValueError, match=re.escape("(2, 2, 3) @ (2, 3, 4)")):
             ad.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 3, 4))),
                       Tensor(np.zeros(4)))
 
@@ -316,7 +355,7 @@ class TestBackwardSemantics:
     def test_quadratic(self):
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         with ad.recording():
-            ad.backward(ad.matmul(x.reshape((1, 3)), x.reshape((3, 1))).reshape(()))
+            ad.backward(ad.reshape(ad.matmul(ad.reshape(x, (1, 3)), ad.reshape(x, (3, 1))), ()))
         assert np.allclose(x.grad, 2 * x.data)
 
     def test_reuse_accumulates(self):

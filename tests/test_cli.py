@@ -452,6 +452,8 @@ class TestErrors:
         (["fs_target=inf"], "fs_target"),
         (["synth_duration_s=inf"], "synth_duration_s"),
         (["synth_noise_std=inf"], "synth_noise_std"),
+        (["synth_duration_s=1e300"], "synth_duration_s"),
+        (["synth_duration_s=1e12"], "synth_duration_s"),
     ])
     def test_bad_config_exits_naming_field(self, tmp_path, capsys, overrides, field):
         extra = [arg for item in overrides for arg in ("--set", item)]

@@ -212,6 +212,26 @@ class TestTrainLoop:
             tr.train(x, y, plan, TINY, hp, seed=0)
         assert not ad._TAPE
 
+    def test_val_loss_is_the_training_loss_of_val_logits(self, monkeypatch):
+        # a probability floored at 1e-12 read 27.63 for a window 40 nats wrong
+        x, y = separable_dataset(n_per_class=4)
+        plan = tr.SplitPlan(train=[0, 1, 4, 5], val=[2, 3], test=[],
+                            split_mode="by_participant")
+        forward = vit.forward
+
+        def confidently_wrong(x, params, config, training=False, **kwargs):
+            art = forward(x, params, config, training=training, **kwargs)
+            if not training:
+                art.logits = Tensor(np.tile([0.0, 40.0], (len(art.logits.data), 1)))
+            return art
+
+        monkeypatch.setattr(vit, "forward", confidently_wrong)
+        hp = tr.TrainHParams(lr=0.0, batch_size=4, max_epochs=1)
+        report, _ = tr.train(x, y, plan, TINY, hp, seed=0)
+        assert y[plan.val].tolist() == [0, 0]
+        assert report["epochs"][0]["val_loss"] == 40.0
+        assert report["epochs"][0]["val_accuracy"] == 0.0
+
     def test_failed_loss_leaves_no_tape(self):
         x, y = separable_dataset(n_per_class=4)
         plan = tr.SplitPlan(train=list(range(6)), val=[6, 7], test=[],

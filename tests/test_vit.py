@@ -213,7 +213,7 @@ class TestForward:
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_train_step_tape_nodes(self, n_layers):
         """Per layer: q, k, v, attention, output projection, two residual layer
-        norms and the three FFN nodes. Embedding 5, head 2 (class token and
+        norms and the three FFN nodes. Embedding 4, head 2 (class token and
         linear), loss 1."""
         cfg = dataclasses.replace(TINY, n_layers=n_layers)
         params = vit.init_params(cfg, seed=0)
@@ -221,7 +221,7 @@ class TestForward:
             art = vit.forward(tiny_batch(2), params, cfg, training=True,
                               rng=np.random.default_rng(0))
             cross_entropy(art.logits, np.array([0, 2]))
-            assert len(ad._TAPE) == 10 * n_layers + 8
+            assert len(ad._TAPE) == 10 * n_layers + 7
 
 
 class TestStochasticDepth:
