@@ -68,6 +68,9 @@ class RunConfig(training.TrainHParams):
         for name in ("fs_target", "synth_subjects", "synth_duration_s", "explain_windows"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name!r} must be positive")
+        if self.fs_target > 10000:
+            raise ValueError(f"config field 'fs_target' must be at most 10000 Hz, "
+                             f"got {self.fs_target}")
         if self.synth_duration_s > 86400 or round(self.synth_duration_s * self.fs_target) < 1:
             raise ValueError(f"config field 'synth_duration_s' must give at least one sample "
                              f"at fs_target {self.fs_target} Hz and be at most 86400 s (24 h), "
@@ -148,16 +151,14 @@ def cmd_synth(cfg: RunConfig) -> str:
         spec = SyntheticEcgSpec(
             bpm=bpm, duration_s=cfg.synth_duration_s, fs=cfg.fs_target,
             waves=waves, noise_std=cfg.synth_noise_std,
-            seed=int(rng.integers(2**63)), subject_id=sid,
-            gender="male" if i % 2 == 0 else "female",
-            age_years=int(20 + 7 * i),
+            seed=int(rng.integers(2**63)),
         )
         record, _ = data_io.synthesize(spec)
         csv_name = f"{sid}.csv"
         data_io.save_record_csv(data_dir / csv_name, record.samples)
         records.append({
             "subject_id": sid, "csv": csv_name, "fs": cfg.fs_target,
-            "gender": record.gender_label, "age_years": record.age_years,
+            "gender": "male" if i % 2 == 0 else "female", "age_years": 20 + 7 * i,
         })
 
     manifest_path = data_dir / "manifest.json"
@@ -186,16 +187,15 @@ def cmd_preprocess(cfg: RunConfig) -> str:
                                                   entry.fs)
                 except ValueError as e:
                     raise ValueError(f"{manifest_path}: record {i} field 'fs': {e}") from None
-                record = data_io.load_record(entry)
                 offsets, rows = signal_core.preprocess_record(
-                    record, spec, cfg.fs_target, cfg.median_kernel, cfg.seq_len,
-                    stride=cfg.stride or cfg.seq_len, source=entry.csv_path,
-                )
+                    data_io.load_record(entry), spec, cfg.fs_target, cfg.median_kernel,
+                    cfg.seq_len, cfg.stride or cfg.seq_len,
+                    f"{entry.subject_id} ({entry.csv_path})")
                 f.write(rows.astype("<f8", copy=False).tobytes())
                 excluded += not len(rows)
                 index += [{
-                    "subject_id": record.subject_id, "source_offset": offset,
-                    "gender": record.gender_label, "age_years": record.age_years,
+                    "subject_id": entry.subject_id, "source_offset": offset,
+                    "gender": entry.gender, "age_years": entry.age_years,
                 } for offset in offsets]
         if not index:
             raise ValueError(f"{manifest_path}: no window of seq_len {cfg.seq_len} samples: "

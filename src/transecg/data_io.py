@@ -115,11 +115,11 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
         seen.add(sid)
         if not csv.exists():
             raise FileNotFoundError(f"{path}: record {i} references missing file {csv}")
-        entries.append(ManifestEntry(
-            subject_id=sid, csv_path=csv, fs=fs,
-            gender=json_field(row, "gender", str, where, optional=True),
-            age_years=json_field(row, "age_years", int, where, optional=True),
-        ))
+        gender = json_field(row, "gender", str, where, optional=True)
+        age = json_field(row, "age_years", int, where, optional=True)
+        if age is not None and age < 0:
+            raise ValueError(f"{where} field 'age_years' must be non-negative, got {age}")
+        entries.append(ManifestEntry(sid, csv, fs, gender, age))
     return entries
 
 
@@ -191,13 +191,7 @@ def load_record(entry: ManifestEntry) -> EcgRecord:
     if samples is None:
         samples = _parse_lines(entry.csv_path)
     try:
-        return EcgRecord(
-            subject_id=entry.subject_id,
-            samples=samples,
-            fs=entry.fs,
-            gender_label=entry.gender,
-            age_years=entry.age_years,
-        )
+        return EcgRecord(samples, entry.fs)
     except ValueError as e:
         raise ValueError(f"{entry.csv_path}: {e}") from None
 
@@ -235,9 +229,6 @@ class SyntheticEcgSpec:
     waves: dict[str, WaveParams] = field(default_factory=lambda: dict(DEFAULT_WAVES))
     noise_std: float = 0.0
     seed: int = 0
-    subject_id: str = "synthetic"
-    gender: str | None = None
-    age_years: int | None = None
 
     def __post_init__(self):
         if not (30.0 <= self.bpm <= 220.0):
@@ -280,7 +271,10 @@ def synthesize(spec: SyntheticEcgSpec) -> tuple[EcgRecord, SyntheticGroundTruth]
         anchor = k * period
         for w in spec.waves.values():
             c = anchor + w.offset_s
-            x += w.amplitude * np.exp(-0.5 * ((t - c) / w.sigma_s) ** 2)
+            # exp(-z²/2) is exactly 0.0 beyond |z| ≈ 38.6, so samples over 40σ away keep x as is
+            lo, hi = np.clip(np.array([c - 40 * w.sigma_s, c + 40 * w.sigma_s]) * spec.fs, 0, n)
+            near = slice(int(lo), int(hi) + 1)
+            x[near] += w.amplitude * np.exp(-0.5 * ((t[near] - c) / w.sigma_s) ** 2)
 
         def _idx(offset_s: float) -> int | None:
             i = int(round((anchor + offset_s) * spec.fs))
@@ -302,11 +296,7 @@ def synthesize(spec: SyntheticEcgSpec) -> tuple[EcgRecord, SyntheticGroundTruth]
         rng = np.random.default_rng(spec.seed)
         x = x + rng.normal(0.0, spec.noise_std, size=n)
 
-    record = EcgRecord(
-        subject_id=spec.subject_id, samples=x, fs=spec.fs,
-        gender_label=spec.gender, age_years=spec.age_years,
-    )
-    return record, SyntheticGroundTruth(r_locations=r_locs, beats=beats)
+    return EcgRecord(x, spec.fs), SyntheticGroundTruth(r_locations=r_locs, beats=beats)
 
 
 def age_bin(age_years: int) -> int:

@@ -18,13 +18,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class EcgRecord:
-    """A raw single-lead ECG trace with subject metadata."""
+    """A raw single-lead ECG trace: its samples and their rate (Hz). Whose trace
+    it is (subject, gender, age) is the manifest entry's to say."""
 
-    subject_id: str
     samples: np.ndarray
     fs: float
-    gender_label: str | None = None  # "male" | "female"
-    age_years: int | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -34,8 +32,6 @@ class EcgRecord:
             raise ValueError("EcgRecord.samples must be finite")
         if self.fs <= 0:
             raise ValueError("EcgRecord.fs must be positive")
-        if self.age_years is not None and self.age_years < 0:
-            raise ValueError("EcgRecord.age_years must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -147,16 +143,15 @@ def window(x: np.ndarray, seq_len: int, stride: int) -> np.ndarray:
 
 
 def preprocess_record(record: EcgRecord, spec: FilterSpec, fs_target: float, median_kernel: int,
-                      seq_len: int, stride: int, source: object = None) -> tuple[range, np.ndarray]:
+                      seq_len: int, stride: int, name: str) -> tuple[range, np.ndarray]:
     """Full preprocessing chain: bandpass, median, resample, window, normalize.
 
     Returns (offsets, windows): row i of the [n, seq_len] windows starts at
     resampled sample offsets[i]. A record too short to filter, for the median
-    kernel or for one window gives no rows and is logged as excluded, with
-    `source`, where it was read from, if given.
+    kernel or for one window gives no rows and is logged as excluded under
+    `name`, which the caller gives (the CLI's is "<subject_id> (<csv>)").
     """
     sos = design_butterworth_bandpass(spec)
-    name = record.subject_id if source is None else f"{record.subject_id} ({source})"
     pad = filter_pad_length(sos)
     if record.samples.size <= pad:
         logger.warning("record %s excluded: %d samples, too few to filter (needs more than %d)",

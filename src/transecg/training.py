@@ -15,6 +15,8 @@ from .data_io import Task
 
 logger = logging.getLogger(__name__)
 
+PREDICT_BATCH = 64  # windows per no-grad forward in predict_logits
+
 
 @dataclass
 class SplitPlan:
@@ -132,10 +134,10 @@ def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(scores, axis=1) == labels))
 
 
-def predict_logits(params, config, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Inference-mode class logits of windows, in batches of `batch_size`."""
-    return np.concatenate([vit.forward(x[lo:lo + batch_size], params, config).logits.data
-                           for lo in range(0, x.shape[0], batch_size)], axis=0)
+def predict_logits(params, config, x: np.ndarray) -> np.ndarray:
+    """Inference-mode class logits of windows, in batches of PREDICT_BATCH."""
+    return np.concatenate([vit.forward(x[lo:lo + PREDICT_BATCH], params, config).logits.data
+                           for lo in range(0, x.shape[0], PREDICT_BATCH)], axis=0)
 
 
 def predict_probs(params, config, x: np.ndarray) -> np.ndarray:

@@ -166,13 +166,12 @@ def encoder_layer(z: Tensor, params: dict[str, Tensor], layer: int, config: VitC
     return z, maps
 
 
-def forward(x: np.ndarray | Tensor, params: dict[str, Tensor], config: VitConfig,
+def forward(x: np.ndarray, params: dict[str, Tensor], config: VitConfig,
             training: bool = False, capture_attention: bool = False,
             rng: np.random.Generator | None = None) -> ForwardArtifacts:
     """Full model pass over a batch of windows [B, seq_len] to class logits [B, K].
     With capture_attention, the artifacts also carry the final block's attention maps."""
-    if not isinstance(x, Tensor):
-        x = Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    x = Tensor(x)
     if x.shape[-1] != config.seq_len:
         raise ValueError(f"window length {x.shape[-1]} != seq_len {config.seq_len}")
     if training and config.survival_prob < 1.0 and rng is None:

@@ -240,11 +240,11 @@ def test_07_identity_task():
         waves["P"] = WaveParams(-0.180 - 0.008 * (i % 4), 0.12 + 0.02 * (i % 3), 0.025)
         record, _ = synthesize(SyntheticEcgSpec(
             bpm=60.0, duration_s=48.0, fs=250.0, waves=waves,
-            noise_std=0.01, seed=i, subject_id=f"S{i:03d}",
+            noise_std=0.01, seed=i,
         ))
         rows = signal_core.window(record.samples, cfg.seq_len, cfg.seq_len)
         xs.extend(rows)
-        subject_ids += [record.subject_id] * len(rows)
+        subject_ids += [f"S{i:03d}"] * len(rows)
         offsets += range(0, len(rows) * cfg.seq_len, cfg.seq_len)
         y += [i] * len(rows)
     x, y = np.array(xs), np.array(y)

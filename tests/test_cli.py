@@ -289,9 +289,10 @@ class TestErrors:
         ([record(age_years=41.7)], "age_years"), ([record(age_years="41")], "age_years"),
         ([record(subject_id=5)], "subject_id"), ([record(csv=None)], "csv"),
         ([record(gender=5)], "gender"), ([record(fs=float("inf"))], "fs"),
+        ([record(age_years=-4)], "age_years"),
     ], ids=["records-object", "row-not-object", "fs-str", "age_years-str", "fs-bool",
             "fs-numeric-str", "fs-too-low", "age_years-fraction", "age_years-numeric-str",
-            "subject_id-int", "csv-null", "gender-int", "fs-infinity"])
+            "subject_id-int", "csv-null", "gender-int", "fs-infinity", "age_years-negative"])
     def test_bad_manifest_exits_naming_manifest_and_field(self, tmp_path, capsys,
                                                           records, field):
         (tmp_path / "s1.csv").write_text("amplitude\n0.0\n1.0\n")
@@ -300,8 +301,9 @@ class TestErrors:
         assert run("preprocess", tmp_path, extra=["--set", f"manifest={manifest}"]) == 1
         err = capsys.readouterr().err
         assert str(manifest) in err and repr(field) in err
+        assert "EcgRecord" not in err
         if field != "records":
-            assert "record 0" in err
+            assert "record 0" in err and "s1.csv" not in err
 
     @ON_FIXTURES
     @given(data=st.data())
@@ -454,11 +456,14 @@ class TestErrors:
         (["synth_noise_std=inf"], "synth_noise_std"),
         (["synth_duration_s=1e300"], "synth_duration_s"),
         (["synth_duration_s=1e12"], "synth_duration_s"),
+        (["fs_target=1e306"], "fs_target"),
+        (["fs_target=1e12"], "fs_target"),
     ])
     def test_bad_config_exits_naming_field(self, tmp_path, capsys, overrides, field):
         extra = [arg for item in overrides for arg in ("--set", item)]
         assert run("synth", tmp_path, extra=extra) == 1
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "explain"])
     @pytest.mark.parametrize("flag,value", [("--seed", "3"), ("--task", "age")])

@@ -139,7 +139,7 @@ def line_loop_samples(entry):
                     f"{entry.csv_path}: non-numeric sample {tok!r} at line {lineno}"
                 ) from e
     try:
-        return EcgRecord(entry.subject_id, np.array(values, dtype=np.float64), entry.fs).samples
+        return EcgRecord(np.array(values, dtype=np.float64), entry.fs).samples
     except ValueError as e:
         raise ValueError(f"{entry.csv_path}: {e}") from None
 
@@ -212,6 +212,40 @@ def test_written_doubles_parse_bit_identically(tmp_path_factory, values, fmt):
     got = load_record(data_io.ManifestEntry("S1", csv, 250.0)).samples
     want = np.array([float(fmt(v)) for v in values], dtype=np.float64)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def full_record_samples(spec):
+    """synthesize's samples with every Gaussian bump evaluated over the whole
+    record: the reference for its evaluation near each bump's centre only."""
+    n = int(round(spec.duration_s * spec.fs))
+    t = np.arange(n) / spec.fs
+    x = np.zeros(n)
+    period = 60.0 / spec.bpm
+    for k in range(int(np.floor((spec.duration_s - 1e-9) / period)) + 1):
+        for w in spec.waves.values():
+            c = k * period + w.offset_s
+            x += w.amplitude * np.exp(-0.5 * ((t - c) / w.sigma_s) ** 2)
+    if spec.noise_std > 0:
+        x = x + np.random.default_rng(spec.seed).normal(0.0, spec.noise_std, size=n)
+    return x
+
+
+wave_params = st.builds(WaveParams, offset_s=st.floats(-0.5, 0.5), amplitude=st.floats(-2.0, 2.0),
+                        sigma_s=st.floats(1e-4, 0.3))
+
+
+@settings(deadline=None)
+@given(bpm=st.floats(30.0, 220.0), fs=st.floats(100.0, 600.0), duration_s=st.floats(0.05, 8.0),
+       waves=st.fixed_dictionaries({name: wave_params for name in "PQRST"}),
+       noise_std=st.sampled_from([0.0, 0.01, 0.3]), seed=st.integers(0, 2**63 - 1))
+@example(bpm=61.3, fs=360.0, duration_s=20.0, waves=DEFAULT_WAVES, noise_std=0.01, seed=4)
+# narrow, far-apart bumps: between 30σ and 38.6σ of each, x holds only its tiny tail
+@example(bpm=30.0, fs=600.0, duration_s=4.0, noise_std=0.0, seed=0,
+         waves={name: WaveParams(0.0, 1.0, 0.005) for name in "PQRST"})
+def test_synthesize_matches_full_record_loop(bpm, fs, duration_s, waves, noise_std, seed):
+    spec = SyntheticEcgSpec(bpm=bpm, duration_s=duration_s, fs=fs, waves=waves,
+                            noise_std=noise_std, seed=seed)
+    assert synthesize(spec)[0].samples.tobytes() == full_record_samples(spec).tobytes()
 
 
 class TestSynthesize:

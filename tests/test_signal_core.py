@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -197,26 +199,33 @@ def test_window_matches_per_window_loop(x, seq_len, stride):
     assert np.array_equal(got, want)
 
 
+def test_record_is_samples_and_rate():
+    """Whose record it is (subject, gender, age) is the manifest entry's to say."""
+    assert tuple(f.name for f in dataclasses.fields(sc.EcgRecord)) == ("samples", "fs")
+
+
 class TestPreprocessRecord:
     SPEC = sc.FilterSpec(0.5, 40.0, 4, 250.0)
 
     @staticmethod
     def _record(n):
-        return sc.EcgRecord("s1", np.random.default_rng(6).normal(size=n), 250.0)
+        return sc.EcgRecord(np.random.default_rng(6).normal(size=n), 250.0)
 
     @pytest.mark.parametrize("stride,offsets", [(2000, [0, 2000]), (1000, [0, 1000, 2000, 3000])])
     def test_offsets_match_rows(self, stride, offsets):
-        got, wins = sc.preprocess_record(self._record(5000), self.SPEC, 250.0, 5, 2000, stride)
+        got, wins = sc.preprocess_record(self._record(5000), self.SPEC, 250.0, 5, 2000, stride,
+                                         "s1")
         assert list(got) == offsets
         assert wins.shape == (len(offsets), 2000)
 
     def test_short_record_logged_as_excluded(self, caplog):
-        offsets, wins = sc.preprocess_record(self._record(1999), self.SPEC, 250.0, 5, 2000, 2000)
+        offsets, wins = sc.preprocess_record(self._record(1999), self.SPEC, 250.0, 5, 2000, 2000,
+                                             "s1")
         assert list(offsets) == [] and wins.shape == (0, 2000)
         assert "record s1 excluded" in caplog.text
 
     def test_record_too_short_to_filter_logged_as_excluded(self, caplog):
         offsets, wins = sc.preprocess_record(self._record(27), self.SPEC, 250.0, 5, 10, 10,
-                                             source="s1.csv")
+                                             "s1 (s1.csv)")
         assert list(offsets) == [] and wins.shape == (0, 10)
         assert "record s1 (s1.csv) excluded: 27 samples, too few to filter" in caplog.text
