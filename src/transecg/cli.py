@@ -21,6 +21,7 @@ STORE_BIN = "windows.bin"
 STORE_INDEX = "windows.json"
 # what the checkpoint records of the run, so that evaluate and explain rebuild its split
 SPLIT_FIELDS = ("seed", "task", "train_frac", "val_frac", "test_frac")
+MAX_SYNTH_SAMPLES = 21_600_000  # 24 h at the default 250 Hz
 
 
 @dataclass
@@ -65,16 +66,18 @@ class RunConfig(training.TrainHParams):
     def validate(self) -> None:
         self.vit_config(2)
         signal_core.FilterSpec(self.low_hz, self.high_hz, self.filter_order, fs=float("inf"))
-        for name in ("fs_target", "synth_subjects", "synth_duration_s", "explain_windows"):
+        for name in ("synth_subjects", "explain_windows"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name!r} must be positive")
-        if self.fs_target > 10000:
-            raise ValueError(f"config field 'fs_target' must be at most 10000 Hz, "
-                             f"got {self.fs_target}")
-        if self.synth_duration_s > 86400 or round(self.synth_duration_s * self.fs_target) < 1:
-            raise ValueError(f"config field 'synth_duration_s' must give at least one sample "
-                             f"at fs_target {self.fs_target} Hz and be at most 86400 s (24 h), "
-                             f"got {self.synth_duration_s} s")
+        if not 100 <= self.fs_target <= 10000:
+            raise ValueError(f"config field 'fs_target' must be at least 100 Hz (synth and "
+                             f"pan_tompkins need it) and at most 10000 Hz, got {self.fs_target}")
+        # the product is compared before round, which cannot take inf
+        samples = self.synth_duration_s * self.fs_target
+        if not samples <= MAX_SYNTH_SAMPLES or round(samples) < 1:
+            raise ValueError(f"config fields 'synth_duration_s' and 'fs_target' must give 1 to "
+                             f"{MAX_SYNTH_SAMPLES} samples, got {self.synth_duration_s} s at "
+                             f"{self.fs_target} Hz")
         for name in ("stride", "synth_noise_std"):
             if getattr(self, name) < 0:
                 raise ValueError(f"config field {name!r} must be non-negative")

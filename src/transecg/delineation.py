@@ -1,5 +1,10 @@
 """R-peak detection (Pan-Tompkins) and rule-based PQRST delineation.
 
+`pan_tompkins` takes its candidate beats from `find_peaks` with a 200 ms
+refractory distance, so any two detections are at least that far apart.
+`delineate` finds each fiducial by one search over a window of clinical
+timing around R, clipped to the signal and skipped when empty or flat.
+
 Each beat is cut into a disjoint base partition (P wave, PQ segment, QRS,
 ST segment, T wave, TQ baseline), so that percentages attributed over it sum
 to 100%. The clinical composites (P-R, S-T, Q-T) are unions of base
@@ -9,6 +14,7 @@ intervals; `explain` derives them from the attributed percentages.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +76,7 @@ def pan_tompkins(x: np.ndarray, fs: float) -> np.ndarray:
     bp = bp_p[pad:-pad]
     mwi = mwi_p[pad:-pad]
 
+    # candidates, hence detections and missed beats, are >= refractory apart
     refractory = int(round(REFRACTORY_S * fs))
     cand_p, _ = sps.find_peaks(mwi_p, distance=refractory)
     cand = cand_p[(cand_p >= pad) & (cand_p < pad + x.size)] - pad
@@ -87,20 +94,13 @@ def pan_tompkins(x: np.ndarray, fs: float) -> np.ndarray:
     rr_history: list[float] = []
     for c in cand:
         if mwi[c] > threshold1:
-            if detections and c - detections[-1] < refractory:
-                missed.append(c)
-                continue
-            # search-back: a long gap suggests a missed beat above threshold2
-            if rr_history and detections:
-                rr_avg = float(np.mean(rr_history[-8:]))
-                if c - detections[-1] > 1.66 * rr_avg and missed:
-                    threshold2 = 0.5 * threshold1
-                    back = [m for m in missed if detections[-1] + refractory <= m <= c - refractory]
-                    if back:
-                        best = max(back, key=lambda m: mwi[m])
-                        if mwi[best] > threshold2:
-                            rr_history.append(best - detections[-1])
-                            detections.append(best)
+            # search-back: after a gap over 1.66 mean RR, take the strongest
+            # candidate missed since the last beat if it beats threshold1 / 2
+            if rr_history and missed and c - detections[-1] > 1.66 * np.mean(rr_history[-8:]):
+                best = max(missed, key=lambda m: mwi[m])
+                if mwi[best] > 0.5 * threshold1:
+                    rr_history.append(best - detections[-1])
+                    detections.append(best)
             if detections:
                 rr_history.append(c - detections[-1])
             detections.append(c)
@@ -113,81 +113,56 @@ def pan_tompkins(x: np.ndarray, fs: float) -> np.ndarray:
 
     # refine each detection to the band-passed local maximum within +-50 ms
     half = int(round(0.050 * fs))
-    refined = []
-    for d in sorted(detections):
-        lo, hi = max(0, d - half), min(x.size, d + half + 1)
-        refined.append(lo + int(np.argmax(bp[lo:hi])))
-
-    # dedupe refinements that collapsed onto the same peak
     out: list[int] = []
-    for r in sorted(refined):
+    for d in detections:
+        lo, hi = max(0, d - half), min(x.size, d + half + 1)
+        r = lo + int(np.argmax(bp[lo:hi]))
+        # two detections 200 ms apart can refine to peaks closer than that
         if not out or r - out[-1] >= refractory:
             out.append(r)
     return np.array(out, dtype=np.int64)
 
 
-def _is_flat(seg: np.ndarray, signal_range: float) -> bool:
-    if seg.size == 0:
-        return True
-    if signal_range == 0.0:
-        return True
-    return np.ptp(seg) < 1e-9 * signal_range
-
-
-def _local_extremum(x: np.ndarray, lo: int, hi: int, mode: str) -> int | None:
-    """Index of the min/max/largest-|deviation| sample in x[lo:hi), or None."""
-    lo, hi = max(0, lo), min(x.size, hi)
-    if hi <= lo:
-        return None
+def _find(x: np.ndarray, lo: int, hi: int, signal_range: float,
+          pick: Callable[[np.ndarray], int]) -> int | None:
+    """lo + pick(x[lo:hi]) with the range clipped to x, or None if it is empty or flat."""
+    lo, hi = max(0, lo), max(0, min(x.size, hi))
     seg = x[lo:hi]
-    if mode == "min":
-        return lo + int(np.argmin(seg))
-    if mode == "max":
-        return lo + int(np.argmax(seg))
-    baseline = np.median(seg)
-    return lo + int(np.argmax(np.abs(seg - baseline)))
+    if seg.size == 0 or signal_range == 0.0 or np.ptp(seg) < 1e-9 * signal_range:
+        return None
+    return lo + int(pick(seg))
 
 
 def delineate(x: np.ndarray, peaks: np.ndarray, fs: float) -> list[BeatFiducials]:
     """Locate Q, S, P-wave and T-wave fiducials around each R peak.
 
-    Search windows follow standard clinical timing; fiducials are clipped to
-    the window bounds and omitted when a search region is empty or flat.
+    Each is one search clipped to the signal and omitted when its window is
+    empty or flat (peak-to-peak below 1e-9 of the signal's): Q and S are the
+    minima 80 ms before and after R, P the maximum 240-90 ms before R (only
+    when R is at least 240 ms in), T the largest deviation from the median
+    80-360 ms after S (only when S was found).
     """
     x = np.asarray(x, dtype=np.float64)
     if len(peaks) == 0:
         raise ValueError("delineate requires at least one R peak")
     ms = lambda v: int(round(v * fs / 1000.0))
+    dev = lambda seg: np.argmax(np.abs(seg - np.median(seg)))
     rng = float(np.ptp(x))
 
     out = []
     for r in peaks:
         r = int(r)
-        fid = BeatFiducials(r=r)
-
-        q = _local_extremum(x, r - ms(80), r, "min")
-        if q is not None and not _is_flat(x[max(0, r - ms(80)):r], rng):
-            fid.q = q
-        s = _local_extremum(x, r + 1, r + ms(80) + 1, "min")
-        if s is not None and not _is_flat(x[r + 1:r + ms(80) + 1], rng):
-            fid.s = s
-
-        p_lo, p_hi = r - ms(240), r - ms(90)
-        if p_lo >= 0 and not _is_flat(x[max(0, p_lo):max(0, p_hi)], rng):
-            p = _local_extremum(x, p_lo, p_hi, "max")
-            if p is not None:
-                fid.p_on = max(0, p - ms(40))
-                fid.p_off = p + ms(40)
-
-        if fid.s is not None:
-            t_lo, t_hi = fid.s + ms(80), fid.s + ms(360)
-            if not _is_flat(x[max(0, t_lo):min(x.size, t_hi)], rng):
-                t = _local_extremum(x, t_lo, t_hi, "dev")
-                if t is not None:
-                    fid.t_on = max(fid.s + 1, t - ms(80))
-                    fid.t_off = min(x.size, t + ms(80))
-
-        out.append(fid)
+        q = _find(x, r - ms(80), r, rng, np.argmin)
+        s = _find(x, r + 1, r + ms(80) + 1, rng, np.argmin)
+        p = _find(x, r - ms(240), r - ms(90), rng, np.argmax) if r >= ms(240) else None
+        t = _find(x, s + ms(80), s + ms(360), rng, dev) if s is not None else None
+        out.append(BeatFiducials(
+            r=r, q=q, s=s,
+            p_on=None if p is None else max(0, p - ms(40)),
+            p_off=None if p is None else p + ms(40),
+            t_on=None if t is None else max(s + 1, t - ms(80)),
+            t_off=None if t is None else min(x.size, t + ms(80)),
+        ))
     return out
 
 

@@ -458,6 +458,11 @@ class TestErrors:
         (["synth_duration_s=1e12"], "synth_duration_s"),
         (["fs_target=1e306"], "fs_target"),
         (["fs_target=1e12"], "fs_target"),
+        (["fs_target=50"], "fs_target"),
+        (["fs_target=99.9"], "fs_target"),
+        (["synth_duration_s=1.7e308"], "synth_duration_s"),
+        # 8.64e8 samples, several ~7 GB arrays if synthesize were reached
+        (["synth_duration_s=86400", "fs_target=10000"], "synth_duration_s"),
     ])
     def test_bad_config_exits_naming_field(self, tmp_path, capsys, overrides, field):
         extra = [arg for item in overrides for arg in ("--set", item)]

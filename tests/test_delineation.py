@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import delineation_oracle as oracle
 from transecg import delineation as dl
 from transecg.data_io import SyntheticEcgSpec, synthesize
 
@@ -156,3 +159,53 @@ class TestIntervals:
         a = dl.intervals(dl.delineate(x, peaks, FS))
         b = dl.intervals(dl.delineate(7.5 * x, peaks, FS))
         assert a.beats == b.beats
+
+
+@st.composite
+def signals(draw):
+    """(x, fs): a synthetic ECG, white noise or sparse spikes, with an
+    optional near-flat stretch whose peak-to-peak is a drawn share of x's."""
+    fs = draw(st.floats(100.0, 1000.0))
+    n = int(draw(st.floats(2.0, 10.0)) * fs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ecg", "noise", "spikes"]))
+    if kind == "ecg":
+        spec = SyntheticEcgSpec(bpm=draw(st.floats(30.0, 220.0)), duration_s=n / fs, fs=fs,
+                                noise_std=draw(st.floats(0.0, 0.5)),
+                                seed=draw(st.integers(0, 2**32 - 1)))
+        x = synthesize(spec)[0].samples
+    elif kind == "noise":
+        x = rng.normal(0.0, 1.0, n)
+    else:
+        x = np.zeros(n)
+        at = rng.choice(n, size=draw(st.integers(0, 12)), replace=False)
+        x[at] = rng.normal(0.0, 1.0, at.size)
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.integers(lo + 1, n))
+        level = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-7, 1e-3]))
+        x[lo:hi] = x[lo] + level * np.ptp(x) * rng.random(hi - lo)
+    return x, fs
+
+
+def arbitrary_peaks(n):
+    """Increasing indices into a signal of n samples, always with 0 and n - 1."""
+    inner = st.lists(st.integers(0, n - 1), max_size=30)
+    return inner.map(lambda ps: np.array(sorted({0, n - 1, *ps}), dtype=np.int64))
+
+
+@settings(deadline=None)
+@given(signal=signals(), data=st.data())
+def test_matches_pre_merge_delineator(signal, data):
+    x, fs = signal
+    peaks = dl.pan_tompkins(x, fs)
+    want = oracle.pan_tompkins(x, fs)
+    assert peaks.dtype == want.dtype == np.int64
+    assert np.array_equal(peaks, want)
+    # the find_peaks contract that lets pan_tompkins skip a refractory re-check
+    assert np.all(np.diff(peaks) >= round(0.2 * fs))
+    peak_sets = [data.draw(arbitrary_peaks(x.size))] + ([peaks] if peaks.size else [])
+    for ps in peak_sets:
+        got, ref = dl.delineate(x, ps, fs), oracle.delineate(x, ps, fs)
+        assert [vars(f) for f in got] == [vars(f) for f in ref]
+        assert dl.intervals(got).beats == dl.intervals(ref).beats
