@@ -267,23 +267,26 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6,
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled dot-product attention as one node.
 
-    q, k, v are [B, T, H*dh] projections. Splits the heads, computes
-    P = softmax(q k^T / sqrt(dh)) and P v, and merges the heads back to
-    [B, T, H*dh]. Returns that output and P [B, H, T, T]. The backward is
+    q is the [B, Tq, H*dh] projection of the rows that attend, k and v the
+    [B, T, H*dh] projections of the rows attended to. Splits the heads,
+    computes P = softmax(q k^T / sqrt(dh)) and P v, and merges the heads back
+    to [B, Tq, H*dh]. Returns that output and P [B, H, Tq, T]. The backward is
     dV = P^T dO, dS = P * (dP - rowsum(dP * P)) / sqrt(dh) with dP = dO V^T,
     dQ = dS K and dK = dS^T Q; only P and the projections are kept for it.
     """
-    b, t, hdh = q.shape
-    if k.shape != q.shape or v.shape != q.shape or hdh % n_heads:
-        raise ValueError(f"attention needs equal [B, T, H*dh] inputs with H={n_heads} "
-                         f"dividing the last axis, got {q.shape}, {k.shape}, {v.shape}")
+    if (q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape
+            or (q.shape[0], q.shape[2]) != (k.shape[0], k.shape[2]) or q.shape[2] % n_heads):
+        raise ValueError(f"attention needs q [B, Tq, H*dh] and k, v [B, T, H*dh] with "
+                         f"H={n_heads} dividing H*dh, got q {q.shape}, k {k.shape}, "
+                         f"v {v.shape}")
+    (b, _, hdh), t = q.shape, k.shape[1]
     dh = hdh // n_heads
 
     def heads(a: np.ndarray) -> np.ndarray:          # [B, T, H*dh] -> [B, H, T, dh]
-        return np.transpose(a.reshape(b, t, n_heads, dh), (0, 2, 1, 3))
+        return np.transpose(a.reshape(b, a.shape[1], n_heads, dh), (0, 2, 1, 3))
 
     def merge(a: np.ndarray) -> np.ndarray:          # [B, H, T, dh] -> [B, T, H*dh]
-        return np.transpose(a, (0, 2, 1, 3)).reshape(b, t, hdh)
+        return np.transpose(a, (0, 2, 1, 3)).reshape(b, a.shape[2], hdh)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
     c = 1.0 / np.sqrt(dh)

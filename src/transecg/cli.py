@@ -299,17 +299,13 @@ def cmd_train(cfg: RunConfig) -> str:
     x, y, vocab, plan = load_store(cfg, cfg.seq_len, "the config")
     config = cfg.vit_config(len(vocab))
     report, best = training.train(x, y, plan, config, cfg, cfg.seed)
-    if plan.test:
-        report["test_metrics"] = training.evaluate(best, config, x[plan.test], y[plan.test],
-                                                   task=Task(cfg.task))
-
     ckpt = _checkpoint(cfg)
     vit.save_checkpoint(ckpt, best, config, vocab,
                         meta={name: getattr(cfg, name) for name in SPLIT_FIELDS})
     data_io.write_json(Path(cfg.workdir) / "train_report.json", report)
-    acc = report["test_metrics"]["accuracy"] if plan.test else float("nan")
-    return (f"train: best epoch {report['best_epoch']}, "
-            f"test accuracy {acc:.3f}, checkpoint {ckpt}")
+    best_epoch = report["best_epoch"]
+    return (f"train: best epoch {best_epoch}, validation accuracy "
+            f"{report['epochs'][best_epoch]['val_accuracy']:.3f}, checkpoint {ckpt}")
 
 
 def cmd_evaluate(cfg: RunConfig) -> str:

@@ -34,7 +34,8 @@ FEATURE_CANDIDATES: tuple[tuple[str, tuple[str, ...]], ...] = (
 
 
 def extract_importance(artifacts: ForwardArtifacts) -> np.ndarray:
-    """Class-token -> patch attention of the final block, per head: [B, H, N]."""
+    """Class-token -> patch attention of the final block, per head: [B, H, N],
+    from the class-token row [B, H, 1, N+1] that `vit.forward` captures."""
     if artifacts.attention is None:
         raise ValueError("attention was not captured during the forward pass")
     return artifacts.attention[:, :, 0, 1:]          # a_h = A_h[0, 1:N]

@@ -148,8 +148,8 @@ def predict_probs(params, config, x: np.ndarray) -> np.ndarray:
 def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
           hparams: TrainHParams, seed: int) -> tuple[dict, dict[str, Tensor]]:
     """Optimize the model; returns the report (`epochs`, one dict of metrics each,
-    `best_epoch`, and `test_metrics` None for the caller to fill) and the
-    best-validation parameters.
+    and `best_epoch`) and the best-validation parameters. The test split is
+    `evaluate`'s alone.
 
     Scheduler halves the learning rate after `scheduler_patience` epochs
     without validation-accuracy improvement; early stopping fires after
@@ -210,7 +210,7 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
                 break
 
     restored = {k: Tensor(v, requires_grad=True) for k, v in best_params.items()}
-    return {"epochs": epochs, "best_epoch": best_epoch, "test_metrics": None}, restored
+    return {"epochs": epochs, "best_epoch": best_epoch}, restored
 
 
 # ---------------------------------------------------------------------------

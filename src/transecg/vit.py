@@ -12,8 +12,15 @@ An encoder layer that keeps both branches records ten autodiff nodes: the
 q, k and v projections, one `autodiff.attention` node for the heads, the
 output projection, two `autodiff.layer_norm` nodes that each add their
 residual branch (scaled by 1/p for stochastic depth), and the two biased FFN
-linears around a GELU. With the embed's four, the head's two and the loss,
-a train step tapes 10·n_layers + 7 nodes.
+linears around a GELU.
+
+The head reads only the class token, so `forward` runs the last layer on that
+row alone: one `autodiff.index` node takes it as [B, 1, D], and the query
+projection, the attention output, both layer norms and the FFN see only it,
+while the keys and values still span every token. The head's own `index` then
+drops the token axis. Removing either index would need a second shape path
+through `attention` or the head, so with the embed's four, the class-token
+row, the head's two and the loss, a train step tapes 10·n_layers + 8 nodes.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ class VitConfig:
 @dataclass
 class ForwardArtifacts:
     logits: Tensor                      # [B, K]
-    attention: np.ndarray | None        # final block, [B, H, N+1, N+1]
+    attention: np.ndarray | None        # final block's class-token row, [B, H, 1, N+1]
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -133,17 +140,23 @@ def embed_patches(x: Tensor, params: dict[str, Tensor], config: VitConfig) -> Te
 
 
 def mhsa(z: Tensor, params: dict[str, Tensor], prefix: str, config: VitConfig,
-         capture: bool = False) -> tuple[Tensor, np.ndarray | None]:
-    """Multi-head self-attention; optionally returns post-softmax maps [B, H, T, T]."""
-    q, k, v = (ad.matmul(z, params[prefix + w]) for w in ("w_q", "w_k", "w_v"))
+         capture: bool = False, queries: Tensor | None = None,
+         ) -> tuple[Tensor, np.ndarray | None]:
+    """Multi-head self-attention of the `queries` rows [B, Tq, D] (default: all of
+    z) over every token of z; optionally returns post-softmax maps [B, H, Tq, T]."""
+    q = ad.matmul(z if queries is None else queries, params[prefix + "w_q"])
+    k, v = (ad.matmul(z, params[prefix + w]) for w in ("w_k", "w_v"))
     out, attn = ad.attention(q, k, v, config.n_heads)
     return ad.matmul(out, params[prefix + "w_o"]), attn if capture else None
 
 
 def encoder_layer(z: Tensor, params: dict[str, Tensor], layer: int, config: VitConfig,
                   training: bool = False, rng: np.random.Generator | None = None,
-                  capture: bool = False) -> tuple[Tensor, np.ndarray | None]:
-    """Post-norm residual block: LN(Z + MHSA(Z)) then LN(Z' + FFN(Z'))."""
+                  capture: bool = False, cls_only: bool = False,
+                  ) -> tuple[Tensor, np.ndarray | None]:
+    """Post-norm residual block: LN(Z + MHSA(Z)) then LN(Z' + FFN(Z')). With
+    cls_only, only the class-token row [B, 1, D] attends and goes on, so the
+    output is [B, 1, D] and the captured map [B, H, 1, T]."""
     pre = f"layers.{layer}."
     p = config.survival_prob
     branch_scale = 1.0 / p if training else 1.0   # a kept branch is scaled by 1/p in training
@@ -153,8 +166,9 @@ def encoder_layer(z: Tensor, params: dict[str, Tensor], layer: int, config: VitC
             return True
         return bool(rng.random() < p)
 
-    att, maps = mhsa(z, params, pre, config, capture=capture)
-    z = ad.layer_norm(z, params[pre + "ln1.gamma"], params[pre + "ln1.beta"], config.ln_eps,
+    rows = ad.index(z, (slice(None), slice(0, 1))) if cls_only else z
+    att, maps = mhsa(z, params, pre, config, capture=capture, queries=rows)
+    z = ad.layer_norm(rows, params[pre + "ln1.gamma"], params[pre + "ln1.beta"], config.ln_eps,
                       residual=att if keep_branch() else None, residual_scale=branch_scale)
 
     ffn = None
@@ -170,7 +184,9 @@ def forward(x: np.ndarray, params: dict[str, Tensor], config: VitConfig,
             training: bool = False, capture_attention: bool = False,
             rng: np.random.Generator | None = None) -> ForwardArtifacts:
     """Full model pass over a batch of windows [B, seq_len] to class logits [B, K].
-    With capture_attention, the artifacts also carry the final block's attention maps."""
+    The last layer computes only the class-token row, the one the head reads.
+    With capture_attention, the artifacts also carry that row of the final
+    block's attention maps, [B, H, 1, N+1]."""
     x = Tensor(x)
     if x.shape[-1] != config.seq_len:
         raise ValueError(f"window length {x.shape[-1]} != seq_len {config.seq_len}")
@@ -183,8 +199,9 @@ def forward(x: np.ndarray, params: dict[str, Tensor], config: VitConfig,
         z, maps = encoder_layer(
             z, params, layer, config,
             training=training, rng=rng, capture=capture_attention and layer == last,
+            cls_only=layer == last,
         )
-    z0 = ad.index(z, (slice(None), 0))               # [B, D]
+    z0 = ad.index(z, (slice(None), 0))               # [B, 1, D] -> [B, D]
     logits = ad.matmul(z0, params["head.w"], params["head.b"])
     return ForwardArtifacts(logits=logits, attention=maps)
 

@@ -51,13 +51,17 @@ def test_01_gradient_oracle():
 
     check(lambda t: ad.matmul(t[0], t[1]),
           [rng.normal(size=(4, 5)), rng.normal(size=(5, 3))])
-    w = [rng.normal(size=shape) for shape in ((3, 6), (2, 8), (2, 3, 4), (2, 8), (2, 3, 5))]
+    w = [rng.normal(size=shape)
+         for shape in ((3, 6), (2, 8), (2, 3, 4), (2, 8), (2, 3, 5), (2, 1, 4))]
     check(lambda t: project(ad.softmax(t[0], axis=-1), w[0]), [rng.normal(size=(3, 6))])
     check(lambda t: project(ad.layer_norm(t[0], t[1], t[2]), w[1]),
           [rng.normal(size=(2, 8)), rng.normal(size=8), rng.normal(size=8)])
     check(lambda t: ad.gelu(t[0]), [rng.normal(size=(3, 5))])
     check(lambda t: project(ad.attention(t[0], t[1], t[2], 2)[0], w[2]),
           [rng.normal(size=(2, 3, 4)) for _ in range(3)])
+    # one query row against three keys, as the last encoder layer runs it
+    check(lambda t: project(ad.attention(t[0], t[1], t[2], 2)[0], w[5]),
+          [rng.normal(size=shape) for shape in ((2, 1, 4), (2, 3, 4), (2, 3, 4))])
     check(lambda t: project(ad.layer_norm(t[0], t[1], t[2], residual=t[3],
                                           residual_scale=1.25), w[3]),
           [rng.normal(size=(2, 8)), rng.normal(size=8), rng.normal(size=8),
@@ -73,7 +77,9 @@ def test_01_gradient_oracle():
     with ad.recording():
         ad.backward(cross_entropy(vit.forward(x, params, TINY).logits, y))
     worst_model = 0.0
-    for key in ("embed.E", "layers.0.w_q", "layers.1.ffn.w1", "head.w"):
+    # the last layer's keys and values still see every token
+    for key in ("embed.E", "layers.0.w_q", "layers.1.w_k", "layers.1.w_v",
+                "layers.1.ffn.w1", "head.w"):
         param = params[key]
         arr = param.data
 

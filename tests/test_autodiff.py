@@ -238,16 +238,16 @@ def _bmm(a, b):
 
 
 def _unfused_attention(q, k, v, n_heads):
-    b, t, hdh = q.shape
+    b, tq, hdh = q.shape
     dh = hdh // n_heads
 
     def heads(y):
-        return ad.transpose(ad.reshape(y, (b, t, n_heads, dh)), (0, 2, 1, 3))
+        return ad.transpose(ad.reshape(y, (b, y.shape[1], n_heads, dh)), (0, 2, 1, 3))
 
     qh, kh, vh = heads(q), heads(k), heads(v)
     scores = ad.scale(_bmm(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     attn = ad.softmax(scores, axis=-1)
-    out = ad.reshape(ad.transpose(_bmm(attn, vh), (0, 2, 1, 3)), (b, t, hdh))
+    out = ad.reshape(ad.transpose(_bmm(attn, vh), (0, 2, 1, 3)), (b, tq, hdh))
     return out, attn.data
 
 
@@ -278,12 +278,15 @@ def _assert_close(fused, unfused):
 
 
 @given(b=st.integers(1, 3), t=st.integers(1, 6), h=st.integers(1, 3),
-       dh=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_attention_matches_unfused(b, t, h, dh, seed):
+       dh=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_attention_matches_unfused(b, t, h, dh, data, seed):
+    """Also with fewer query rows than key rows, as the model's last layer runs it."""
+    tq = data.draw(st.integers(1, t), label="tq")
     rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=(b, t, h * dh)) for _ in range(3)]
+    arrays = [rng.normal(size=(b, n, h * dh)) for n in (tq, t, t)]
     fused, unfused = _run_both(lambda x: ad.attention(*x, h), lambda x: _unfused_attention(*x, h),
-                               arrays, rng.normal(size=(b, t, h * dh)))
+                               arrays, rng.normal(size=(b, tq, h * dh)))
+    assert fused[1].shape == (b, h, tq, t)
     _assert_close(fused, unfused)
 
 
@@ -343,6 +346,21 @@ class TestFusedOpInputs:
         q = Tensor(np.zeros((1, 2, 5)))
         with pytest.raises(ValueError, match="H=2"):
             ad.attention(q, q, q, 2)
+
+    @pytest.mark.parametrize("q_shape, k_shape, v_shape", [
+        ((2, 1, 4), (3, 3, 4), (3, 3, 4)),      # batch sizes differ
+        ((2, 1, 4), (2, 3, 4), (2, 2, 4)),      # k and v differ
+        ((2, 1, 6), (2, 3, 4), (2, 3, 4)),      # last axes differ
+        ((2, 1, 5), (2, 3, 5), (2, 3, 5)),      # H=2 does not divide H*dh
+    ])
+    def test_attention_shape_mismatch_names_all_three_shapes(self, q_shape, k_shape, v_shape):
+        q, k, v = (Tensor(np.zeros(shape), requires_grad=True)
+                   for shape in (q_shape, k_shape, v_shape))
+        with ad.recording():
+            with pytest.raises(ValueError, match=re.escape(
+                    f"H=2 dividing H*dh, got q {q_shape}, k {k_shape}, v {v_shape}")):
+                ad.attention(q, k, v, 2)
+            assert ad._TAPE == []
 
 
 class TestBackwardSemantics:

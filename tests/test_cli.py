@@ -207,8 +207,23 @@ class TestCommands:
     def test_train_outputs(self, pipeline):
         assert (pipeline / "model.ckpt").exists()
         report = json.loads((pipeline / "train_report.json").read_text())
-        assert len(report["epochs"]) <= 2
-        assert report["test_metrics"]["accuracy"] >= 0.0
+        assert set(report) == {"epochs", "best_epoch"}  # the test split is evaluate's
+        assert 1 <= len(report["epochs"]) <= 2
+        assert 0 <= report["best_epoch"] < len(report["epochs"])
+        for i, epoch in enumerate(report["epochs"]):
+            assert epoch["epoch"] == i
+            assert 0.0 <= epoch["val_accuracy"] <= 1.0
+            assert np.isfinite([epoch["train_loss"], epoch["val_loss"]]).all()
+
+    def test_train_summary_names_best_epoch_and_its_val_accuracy(self, pipeline, tmp_path,
+                                                                  capsys):
+        work = shutil.copytree(pipeline, tmp_path / "work")
+        assert run("train", work) == 0
+        report = json.loads((work / "train_report.json").read_text())
+        best = report["best_epoch"]
+        assert capsys.readouterr().out == (
+            f"train: best epoch {best}, validation accuracy "
+            f"{report['epochs'][best]['val_accuracy']:.3f}, checkpoint {work / 'model.ckpt'}\n")
 
     def test_evaluate_metrics_file(self, pipeline):
         assert run("evaluate", pipeline) == 0

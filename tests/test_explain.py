@@ -60,7 +60,8 @@ class TestExtractImportance:
         for layer in range(TINY.n_layers):
             z, maps = vit.encoder_layer(z, params, layer, TINY, capture=True)
         art = vit.forward(x, params, TINY, capture_attention=True)
-        assert np.array_equal(art.attention, maps)
+        # the forward computes only the class-token row of the final block
+        assert np.array_equal(art.attention, maps[:, :, :1])
         assert np.array_equal(explain.extract_importance(art), maps[:, :, 0, 1:])
 
     def test_invariant_to_head_weight_perturbation(self):
