@@ -310,7 +310,8 @@ def cmd_train(cfg: RunConfig) -> str:
 
 def cmd_evaluate(cfg: RunConfig) -> str:
     params, config, x, y, plan = _load_model_and_store(cfg)
-    metrics = training.evaluate(params, config, x[plan.test], y[plan.test], task=Task(cfg.task))
+    probs = training.predict_probs(params, config, x[plan.test])
+    metrics = training.evaluate_probs(probs, y[plan.test], task=Task(cfg.task))
     out = Path(cfg.workdir) / "metrics.json"
     data_io.write_json(out, metrics)
     return f"evaluate: test accuracy {metrics['accuracy']:.3f} -> {out}"

@@ -86,7 +86,7 @@ def read_json(path) -> dict:
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise ValueError(f"{path}: {e}") from None
     return json_value(doc, dict, str(path))
 
@@ -251,14 +251,9 @@ class BeatTruth:
     t: int | None
 
 
-@dataclass
-class SyntheticGroundTruth:
-    r_locations: list[int]
-    beats: list[BeatTruth]
-
-
-def synthesize(spec: SyntheticEcgSpec) -> tuple[EcgRecord, SyntheticGroundTruth]:
-    """Generate a Gaussian-bump ECG with exact fiducial ground truth."""
+def synthesize(spec: SyntheticEcgSpec) -> tuple[EcgRecord, list[BeatTruth]]:
+    """Generate a Gaussian-bump ECG and the exact fiducials of each beat whose R
+    lies on the record."""
     n = int(round(spec.duration_s * spec.fs))
     t = np.arange(n) / spec.fs
     x = np.zeros(n)
@@ -266,7 +261,6 @@ def synthesize(spec: SyntheticEcgSpec) -> tuple[EcgRecord, SyntheticGroundTruth]
     n_beats = int(np.floor((spec.duration_s - 1e-9) / period)) + 1
 
     beats = []
-    r_locs = []
     for k in range(n_beats):
         anchor = k * period
         for w in spec.waves.values():
@@ -283,7 +277,6 @@ def synthesize(spec: SyntheticEcgSpec) -> tuple[EcgRecord, SyntheticGroundTruth]
         r = _idx(spec.waves["R"].offset_s)
         if r is None:
             continue
-        r_locs.append(r)
         beats.append(BeatTruth(
             p=_idx(spec.waves["P"].offset_s),
             q=_idx(spec.waves["Q"].offset_s),
@@ -296,7 +289,7 @@ def synthesize(spec: SyntheticEcgSpec) -> tuple[EcgRecord, SyntheticGroundTruth]
         rng = np.random.default_rng(spec.seed)
         x = x + rng.normal(0.0, spec.noise_std, size=n)
 
-    return EcgRecord(x, spec.fs), SyntheticGroundTruth(r_locations=r_locs, beats=beats)
+    return EcgRecord(x, spec.fs), beats
 
 
 def age_bin(age_years: int) -> int:

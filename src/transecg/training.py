@@ -149,7 +149,7 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
           hparams: TrainHParams, seed: int) -> tuple[dict, dict[str, Tensor]]:
     """Optimize the model; returns the report (`epochs`, one dict of metrics each,
     and `best_epoch`) and the best-validation parameters. The test split is
-    `evaluate`'s alone.
+    `cli evaluate`'s alone.
 
     Scheduler halves the learning rate after `scheduler_patience` epochs
     without validation-accuracy improvement; early stopping fires after
@@ -165,7 +165,7 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
 
     best_acc = -1.0
     best_epoch = -1
-    best_params: dict[str, np.ndarray] = {k: p.data.copy() for k, p in params.items()}
+    best_params: dict[str, np.ndarray] = {}  # epoch 0 always fills it: val_acc >= 0
     stall = 0
     epochs = []
     for epoch in range(hparams.max_epochs):
@@ -204,7 +204,7 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
             stall = 0
         else:
             stall += 1
-            if stall > 0 and stall % hparams.scheduler_patience == 0:
+            if stall % hparams.scheduler_patience == 0:
                 opt.lr *= hparams.scheduler_factor
             if stall >= hparams.early_stop_patience:
                 break
@@ -240,53 +240,31 @@ def auc(fpr: np.ndarray, tpr: np.ndarray) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
-def evaluate(params, config, x: np.ndarray, y: np.ndarray,
-             task: Task | None = None) -> dict:
-    """Accuracy, macro precision/recall/F1, and one-vs-rest ROC/AUC per class."""
-    if x.shape[0] == 0:
-        raise ValueError("evaluate requires a non-empty set")
-    probs = predict_probs(params, config, x)
-    return evaluate_probs(probs, y, task=task)
-
-
 def evaluate_probs(probs: np.ndarray, y: np.ndarray, task: Task | None = None) -> dict:
+    """The metrics.json document (its keys and rules are in the README) of class
+    probabilities `probs` [n, k] against labels `y`."""
     y = np.asarray(y, dtype=np.int64)
     k = probs.shape[1]
     preds = np.argmax(probs, axis=1)  # ties resolve to the lowest class index
-
-    precisions, recalls, f1s = [], [], []
-    missing = []
-    roc_points = {}
-    aucs = {}
-    for c in range(k):
-        tp = int(np.sum((preds == c) & (y == c)))
-        fp = int(np.sum((preds == c) & (y != c)))
-        fn = int(np.sum((preds != c) & (y == c)))
-        if np.sum(y == c) == 0:
-            missing.append(c)
-            prec = rec = 0.0
-        else:
-            prec = tp / (tp + fp) if tp + fp else 0.0
-            rec = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        precisions.append(prec)
-        recalls.append(rec)
-        f1s.append(f1)
-        fpr, tpr = roc_curve(probs[:, c], y == c)
-        roc_points[c] = (fpr.tolist(), tpr.tolist())
-        aucs[c] = auc(fpr, tpr)
+    counts = np.bincount(y * k + preds, minlength=k * k).reshape(k, k)  # [true, predicted]
+    tp = np.diag(counts)
+    support = counts.sum(axis=1)
+    predicted = counts.sum(axis=0)
+    precision = np.divide(tp, predicted, out=np.zeros(k), where=predicted > 0)
+    recall = np.divide(tp, support, out=np.zeros(k), where=support > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(k), where=both > 0)
+    roc = {str(c): roc_curve(probs[:, c], y == c) for c in range(k)}
 
     out = {
-        "accuracy": _accuracy(probs, y),
-        "macro_precision": float(np.mean(precisions)),
-        "macro_recall": float(np.mean(recalls)),
-        "macro_f1": float(np.mean(f1s)),
-        "per_class_auc": {str(c): aucs[c] for c in aucs},
-        "roc": {str(c): {"fpr": roc_points[c][0], "tpr": roc_points[c][1]} for c in roc_points},
-        "absent_classes": missing,
+        "accuracy": float(tp.sum() / len(y)),
+        "macro_precision": float(np.mean(precision)),
+        "macro_recall": float(np.mean(recall)),
+        "macro_f1": float(np.mean(f1)),
+        "per_class_auc": {c: auc(fpr, tpr) for c, (fpr, tpr) in roc.items()},
+        "roc": {c: {"fpr": fpr.tolist(), "tpr": tpr.tolist()} for c, (fpr, tpr) in roc.items()},
+        "absent_classes": np.flatnonzero(support == 0).tolist(),
     }
     if task is Task.PARTICIPANT_ID:
-        support = [(int(np.sum(y == c)), -c) for c in range(k)]
-        top = sorted(support, reverse=True)[:4]
-        out["top4_classes_by_support"] = [-neg_c for _, neg_c in top]
+        out["top4_classes_by_support"] = np.argsort(-support, kind="stable")[:4].tolist()
     return out

@@ -244,7 +244,7 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], VitConfig, dict[str, int],
             config = data_io.json_dataclass(VitConfig(), stored, "config")
             vocab = data_io.json_field(doc, "vocab", dict, "header")
             meta = data_io.json_field(doc, "meta", dict, "header")
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:  # json.loads recurses per nesting level
             raise ValueError(f"{path}: bad checkpoint header ({e})") from e
         count = param_count(config)  # checked before param_shapes lists every layer
         if size - 8 - hlen != 8 * count:

@@ -148,12 +148,12 @@ def test_04_r_peak_detection():
     for k in range(30):
         rng = np.random.default_rng(1000 + k)
         bpm = float(rng.uniform(60.0, 120.0))
-        record, truth = synthesize(SyntheticEcgSpec(
+        record, beats = synthesize(SyntheticEcgSpec(
             bpm=bpm, duration_s=30.0, fs=250.0, noise_std=0.02, seed=k,
         ))
         peaks = delineation.pan_tompkins(record.samples, record.fs)
         tol = int(round(tol_s * record.fs))
-        truth_set = list(truth.r_locations)
+        truth_set = [b.r for b in beats]
         matched = set()
         for p in peaks:
             close = [i for i, r in enumerate(truth_set)
@@ -173,13 +173,13 @@ def test_04_r_peak_detection():
 
 def test_05_delineation_accuracy():
     """Q/S land within 3 samples of truth and base intervals never overlap."""
-    record, truth = synthesize(SyntheticEcgSpec(bpm=60.0, duration_s=20.0, fs=250.0))
+    record, beats = synthesize(SyntheticEcgSpec(bpm=60.0, duration_s=20.0, fs=250.0))
     peaks = delineation.pan_tompkins(record.samples, record.fs)
     fids = delineation.delineate(record.samples, peaks, record.fs)
     by_r = {f.r: f for f in fids}
     worst = 0
     checked = 0
-    for beat in truth.beats:
+    for beat in beats:
         match = [r for r in by_r if abs(r - beat.r) <= 3]
         if not match or beat.q is None or beat.s is None:
             continue
@@ -194,7 +194,7 @@ def test_05_delineation_accuracy():
         for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
             disjoint &= hi1 <= lo2
 
-    ok = checked >= len(truth.beats) - 2 and worst <= 3 and disjoint
+    ok = checked >= len(beats) - 2 and worst <= 3 and disjoint
     report(5, "delineation within 3 samples, intervals disjoint", ok,
            f"{checked} beats, worst err {worst}, disjoint={disjoint}")
 
@@ -227,7 +227,7 @@ def test_06_learning_sanity():
                       early_stop_patience=30)
     rep, best = training.train(x, y, plan, cfg, hp, seed=0)
     train_acc = max(e["train_accuracy"] for e in rep["epochs"])
-    test = training.evaluate(best, cfg, x[plan.test], y[plan.test])
+    test = training.evaluate_probs(training.predict_probs(best, cfg, x[plan.test]), y[plan.test])
     ok = train_acc >= 0.95 and test["accuracy"] >= 0.80
     report(6, "learning sanity on a separable task", ok,
            f"train {train_acc:.2f}, held-out {test['accuracy']:.2f}, "
@@ -259,8 +259,8 @@ def test_07_identity_task():
     hp = TrainHParams(lr=1e-2, batch_size=8, max_epochs=100, weight_decay=0.0,
                       early_stop_patience=30)
     _, best = training.train(x, y, plan, cfg, hp, seed=0)
-    test = training.evaluate(best, cfg, x[plan.test], y[plan.test],
-                             task=Task.PARTICIPANT_ID)
+    test = training.evaluate_probs(training.predict_probs(best, cfg, x[plan.test]),
+                                   y[plan.test], task=Task.PARTICIPANT_ID)
     ok = test["accuracy"] >= 0.375
     report(7, "8-way identification >= 37.5% held-out", ok,
            f"accuracy {test['accuracy']:.3f} on {len(plan.test)} windows")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -230,6 +231,19 @@ class TestCommands:
         metrics = json.loads((pipeline / "metrics.json").read_text())
         for key in ("accuracy", "macro_f1", "per_class_auc", "roc"):
             assert key in metrics
+
+    def test_readme_metrics_keys_match_the_scorer(self):
+        """The README's metrics.json section lists every key evaluate_probs
+        returns, marking the one only the id task adds."""
+        section = README.read_text(encoding="utf-8").split("## `metrics.json`")[1]
+        listed = dict(re.findall(r"^- `(\w+)`( \(`id` only\))? — ", section.split("\n## ")[0],
+                                 re.MULTILINE))
+        probs, y = np.eye(3), np.arange(3)
+        for task in data_io.Task:
+            want = set(training.evaluate_probs(probs, y, task=task))
+            got = {key for key, id_only in listed.items()
+                   if not id_only or task is data_io.Task.PARTICIPANT_ID}
+            assert got == want, task
 
     def test_evaluate_is_byte_deterministic(self, pipeline):
         assert run("evaluate", pipeline) == 0
@@ -608,7 +622,8 @@ class TestErrors:
         err = capsys.readouterr().err
         assert str(bad) in err and "config field 'ln_eps' expects a finite float" in err
 
-    @pytest.mark.parametrize("content", [b"{oops", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
+    @pytest.mark.parametrize("content", [b"{oops", b"\xff\xfe{}", b"[" * 200_000],
+                             ids=["not-json", "not-utf8", "nested-too-deep"])
     @pytest.mark.parametrize("document", ["config.json", "manifest.json", "windows.json"])
     def test_unreadable_json_exits_naming_path(self, tmp_path, capsys, document, content):
         path = tmp_path / document
@@ -622,6 +637,15 @@ class TestErrors:
             code = run("train", tmp_path)
         assert code == 1
         assert str(path) in capsys.readouterr().err
+
+    def test_checkpoint_header_nested_too_deep_exits_naming_path(self, pipeline, tmp_path,
+                                                                 capsys):
+        header = b"[" * 100_000
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(struct.pack("<Q", len(header)) + header)
+        assert run("evaluate", pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "bad checkpoint header" in err
 
     @pytest.mark.parametrize("edit,field", [
         (lambda header: header["config"].update(seq_len=1000.0), "seq_len"),

@@ -250,20 +250,20 @@ def test_synthesize_matches_full_record_loop(bpm, fs, duration_s, waves, noise_s
 
 class TestSynthesize:
     def test_beat_count_and_spacing(self):
-        rec, truth = synthesize(SyntheticEcgSpec(bpm=60.0, duration_s=8.0, fs=250.0))
+        rec, beats = synthesize(SyntheticEcgSpec(bpm=60.0, duration_s=8.0, fs=250.0))
         assert rec.samples.size == 2000
-        assert truth.r_locations == [0, 250, 500, 750, 1000, 1250, 1500, 1750]
+        assert [b.r for b in beats] == [0, 250, 500, 750, 1000, 1250, 1500, 1750]
 
     def test_r_peaks_are_local_maxima(self):
-        rec, truth = synthesize(SyntheticEcgSpec(bpm=72.0, duration_s=10.0))
-        for r in truth.r_locations[1:-1]:
-            lo, hi = r - 10, r + 11
-            assert np.argmax(rec.samples[lo:hi]) + lo == r
+        rec, beats = synthesize(SyntheticEcgSpec(bpm=72.0, duration_s=10.0))
+        for beat in beats[1:-1]:
+            lo, hi = beat.r - 10, beat.r + 11
+            assert np.argmax(rec.samples[lo:hi]) + lo == beat.r
 
     def test_ground_truth_matches_wave_offsets(self):
         spec = SyntheticEcgSpec(bpm=60.0, duration_s=4.0, fs=250.0)
-        _, truth = synthesize(spec)
-        beat = truth.beats[1]
+        _, beats = synthesize(spec)
+        beat = beats[1]
         assert beat.r == 250
         assert beat.p == 250 + round(DEFAULT_WAVES["P"].offset_s * 250)
         assert beat.q == 250 + round(DEFAULT_WAVES["Q"].offset_s * 250)
@@ -271,8 +271,8 @@ class TestSynthesize:
         assert beat.t == 250 + round(DEFAULT_WAVES["T"].offset_s * 250)
 
     def test_off_record_fiducials_are_none(self):
-        _, truth = synthesize(SyntheticEcgSpec(bpm=60.0, duration_s=4.0))
-        first = truth.beats[0]
+        _, beats = synthesize(SyntheticEcgSpec(bpm=60.0, duration_s=4.0))
+        first = beats[0]
         assert first.r == 0
         assert first.p is None and first.q is None  # before sample 0
         assert first.s is not None and first.t is not None
@@ -299,20 +299,20 @@ class TestSynthesize:
 
     def test_detector_agrees_with_ground_truth(self):
         """The generator's R locations are an oracle for the detector chain."""
-        rec, truth = synthesize(SyntheticEcgSpec(bpm=66.0, duration_s=20.0,
+        rec, beats = synthesize(SyntheticEcgSpec(bpm=66.0, duration_s=20.0,
                                                  noise_std=0.01, seed=3))
         peaks = pan_tompkins(rec.samples, rec.fs)
-        assert len(peaks) == len(truth.r_locations)
-        for got, want in zip(peaks, truth.r_locations):
-            assert abs(got - want) <= 5  # 20 ms at fs=250
+        assert len(peaks) == len(beats)
+        for got, beat in zip(peaks, beats):
+            assert abs(got - beat.r) <= 5  # 20 ms at fs=250
 
     def test_delineation_matches_truth_centers(self):
-        rec, truth = synthesize(SyntheticEcgSpec(bpm=60.0, duration_s=16.0))
+        rec, beats = synthesize(SyntheticEcgSpec(bpm=60.0, duration_s=16.0))
         peaks = pan_tompkins(rec.samples, rec.fs)
         fids = delineate(rec.samples, peaks, rec.fs)
         by_r = {f.r: f for f in fids}
         checked = 0
-        for beat in truth.beats:
+        for beat in beats:
             match = [r for r in by_r if abs(r - beat.r) <= 3]
             if not match or beat.p is None or beat.t is None:
                 continue
@@ -323,7 +323,7 @@ class TestSynthesize:
             assert f.p_on <= beat.p <= f.p_off
             assert f.t_on <= beat.t <= f.t_off
             checked += 1
-        assert checked >= len(truth.beats) - 2
+        assert checked >= len(beats) - 2
 
 
 class TestLabels:

@@ -1,6 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import metrics_oracle as oracle
 from gradcheck import fd_gradient, rel_error
 from transecg import autodiff as ad
 from transecg import training as tr
@@ -291,3 +297,25 @@ class TestMetrics:
         probs /= probs.sum(axis=1, keepdims=True)
         m = tr.evaluate_probs(probs, y, task=Task.PARTICIPANT_ID)
         assert m["top4_classes_by_support"] == [0, 1, 2, 3]
+
+
+@st.composite
+def scored_labels(draw):
+    """(probs [n, k], y) with k 2-8 and n 1-60: labels from a drawn subset of the
+    classes (so some are absent, or all but one), and scores either floats or small
+    integers, whose ties exercise the argmax and ROC tie rules."""
+    k = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 60))
+    present = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    y = draw(hnp.arrays(np.int64, n, elements=st.sampled_from(present)))
+    score = draw(st.sampled_from([st.integers(0, 3).map(float), st.floats(0, 1)]))
+    return draw(hnp.arrays(np.float64, (n, k), elements=score)), y
+
+
+@settings(deadline=None)
+@given(case=scored_labels(), task=st.sampled_from(list(Task)))
+def test_evaluate_probs_matches_per_class_oracle(case, task):
+    probs, y = case
+    got = tr.evaluate_probs(probs, y, task=task)
+    want = oracle.evaluate_probs(probs, y, task=task)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
