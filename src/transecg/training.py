@@ -15,7 +15,9 @@ from .data_io import Task
 
 logger = logging.getLogger(__name__)
 
-PREDICT_BATCH = 64  # windows per no-grad forward in predict_logits
+# the most windows any forward sees: a training step of batch_size windows runs
+# forward, loss and backward over chunks of this many, and inference forwards too
+FORWARD_CHUNK = 4
 
 
 @dataclass
@@ -135,14 +137,34 @@ def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def predict_logits(params, config, x: np.ndarray) -> np.ndarray:
-    """Inference-mode class logits of windows, in batches of PREDICT_BATCH."""
-    return np.concatenate([vit.forward(x[lo:lo + PREDICT_BATCH], params, config).logits.data
-                           for lo in range(0, x.shape[0], PREDICT_BATCH)], axis=0)
+    """Inference-mode class logits of windows, FORWARD_CHUNK windows per forward."""
+    return np.concatenate([vit.forward(x[lo:lo + FORWARD_CHUNK], params, config).logits.data
+                           for lo in range(0, x.shape[0], FORWARD_CHUNK)], axis=0)
 
 
 def predict_probs(params, config, x: np.ndarray) -> np.ndarray:
     """Inference-mode class probabilities of windows: the softmax of their logits."""
     return ad.softmax(Tensor(predict_logits(params, config, x))).data
+
+
+def train_step(params: dict[str, Tensor], config: vit.VitConfig, x: np.ndarray,
+               y: np.ndarray, rng: np.random.Generator) -> tuple[float, int]:
+    """Accumulate onto the parameters' grads the gradient of the mean training
+    loss of windows x with labels y, and return that loss and the number of
+    windows classified right. One `draw_keep` serves the whole step; forward,
+    loss and backward run FORWARD_CHUNK windows at a time, each chunk's mean
+    loss scaled by its share of the windows, so the tape holds one chunk."""
+    keep = vit.draw_keep(config, rng)
+    loss, correct = 0.0, 0
+    for lo in range(0, len(x), FORWARD_CHUNK):
+        xs, ys = x[lo:lo + FORWARD_CHUNK], y[lo:lo + FORWARD_CHUNK]
+        with ad.recording():
+            logits = vit.forward(xs, params, config, training=True, keep=keep).logits
+            part = ad.scale(cross_entropy(logits, ys), len(xs) / len(x))
+            ad.backward(part)
+        loss += float(part.data)
+        correct += int(np.sum(np.argmax(logits.data, axis=1) == ys))
+    return loss, correct
 
 
 def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
@@ -175,15 +197,12 @@ def train(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: vit.VitConfig,
         for batch_no, idx in enumerate(_batches(len(x_tr), hparams.batch_size, rng)):
             opt.zero_grad()
             try:
-                with ad.recording():
-                    art = vit.forward(x_tr[idx], params, config, training=True, rng=rng)
-                    loss = cross_entropy(art.logits, y_tr[idx])
-                    ad.backward(loss)
+                loss, right = train_step(params, config, x_tr[idx], y_tr[idx], rng)
             except FloatingPointError as e:
                 raise FloatingPointError(f"{e} at epoch {epoch}, batch {batch_no}") from e
             opt.step()
-            losses.append(float(loss.data))
-            correct += int(np.sum(np.argmax(art.logits.data, axis=1) == y_tr[idx]))
+            losses.append(loss)
+            correct += right
 
         val_logits = predict_logits(params, config, x_val)
         val_loss = float(cross_entropy(Tensor(val_logits), y_val).data)

@@ -20,7 +20,8 @@ projection, the attention output, both layer norms and the FFN see only it,
 while the keys and values still span every token. The head's own `index` then
 drops the token axis. Removing either index would need a second shape path
 through `attention` or the head, so with the embed's four, the class-token
-row, the head's two and the loss, a train step tapes 10·n_layers + 8 nodes.
+row, the head's two and the loss, a training forward and its loss tape
+10·n_layers + 8 nodes (`training.train_step` scales that loss: one node more).
 """
 
 from __future__ import annotations
@@ -150,29 +151,35 @@ def mhsa(z: Tensor, params: dict[str, Tensor], prefix: str, config: VitConfig,
     return ad.matmul(out, params[prefix + "w_o"]), attn if capture else None
 
 
+def draw_keep(config: VitConfig, rng: np.random.Generator) -> list[tuple[bool, bool]]:
+    """One training step's stochastic-depth draws: whether each layer keeps its
+    attention and its FFN branch, drawn layer by layer, attention first. At
+    survival_prob 1 every branch is kept and nothing is drawn."""
+    p = config.survival_prob
+    if p >= 1.0:
+        return [(True, True)] * config.n_layers
+    return [(bool(rng.random() < p), bool(rng.random() < p)) for _ in range(config.n_layers)]
+
+
 def encoder_layer(z: Tensor, params: dict[str, Tensor], layer: int, config: VitConfig,
-                  training: bool = False, rng: np.random.Generator | None = None,
+                  training: bool = False, keep: tuple[bool, bool] = (True, True),
                   capture: bool = False, cls_only: bool = False,
                   ) -> tuple[Tensor, np.ndarray | None]:
-    """Post-norm residual block: LN(Z + MHSA(Z)) then LN(Z' + FFN(Z')). With
+    """Post-norm residual block: LN(Z + MHSA(Z)) then LN(Z' + FFN(Z')), where
+    `keep` says whether the attention and the FFN branch are kept. With
     cls_only, only the class-token row [B, 1, D] attends and goes on, so the
     output is [B, 1, D] and the captured map [B, H, 1, T]."""
     pre = f"layers.{layer}."
-    p = config.survival_prob
-    branch_scale = 1.0 / p if training else 1.0   # a kept branch is scaled by 1/p in training
-
-    def keep_branch() -> bool:
-        if not training or p >= 1.0:
-            return True
-        return bool(rng.random() < p)
+    branch_scale = 1.0 / config.survival_prob if training else 1.0  # a kept branch, in training
+    keep_att, keep_ffn = keep
 
     rows = ad.index(z, (slice(None), slice(0, 1))) if cls_only else z
     att, maps = mhsa(z, params, pre, config, capture=capture, queries=rows)
     z = ad.layer_norm(rows, params[pre + "ln1.gamma"], params[pre + "ln1.beta"], config.ln_eps,
-                      residual=att if keep_branch() else None, residual_scale=branch_scale)
+                      residual=att if keep_att else None, residual_scale=branch_scale)
 
     ffn = None
-    if keep_branch():
+    if keep_ffn:
         hdn = ad.gelu(ad.matmul(z, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
         ffn = ad.matmul(hdn, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
     z = ad.layer_norm(z, params[pre + "ln2.gamma"], params[pre + "ln2.beta"], config.ln_eps,
@@ -182,23 +189,26 @@ def encoder_layer(z: Tensor, params: dict[str, Tensor], layer: int, config: VitC
 
 def forward(x: np.ndarray, params: dict[str, Tensor], config: VitConfig,
             training: bool = False, capture_attention: bool = False,
-            rng: np.random.Generator | None = None) -> ForwardArtifacts:
+            keep: list[tuple[bool, bool]] | None = None) -> ForwardArtifacts:
     """Full model pass over a batch of windows [B, seq_len] to class logits [B, K].
+    In training, `keep` holds the step's `draw_keep` draws, one pair per layer.
     The last layer computes only the class-token row, the one the head reads.
     With capture_attention, the artifacts also carry that row of the final
     block's attention maps, [B, H, 1, N+1]."""
     x = Tensor(x)
     if x.shape[-1] != config.seq_len:
         raise ValueError(f"window length {x.shape[-1]} != seq_len {config.seq_len}")
-    if training and config.survival_prob < 1.0 and rng is None:
-        raise ValueError("training with stochastic depth requires an rng")
+    if keep is None:
+        if training and config.survival_prob < 1.0:
+            raise ValueError("training with stochastic depth requires the draw_keep draws")
+        keep = [(True, True)] * config.n_layers
 
     z = embed_patches(x, params, config)
     last = config.n_layers - 1
     for layer in range(config.n_layers):
         z, maps = encoder_layer(
             z, params, layer, config,
-            training=training, rng=rng, capture=capture_attention and layer == last,
+            training=training, keep=keep[layer], capture=capture_attention and layer == last,
             cls_only=layer == last,
         )
     z0 = ad.index(z, (slice(None), 0))               # [B, 1, D] -> [B, D]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from transecg import explain, vit
+from transecg import explain, training, vit
 from transecg.autodiff import Tensor
 from transecg.delineation import BASE_INTERVALS, IntervalMap
 from transecg.vit import ForwardArtifacts
@@ -63,6 +63,18 @@ class TestExtractImportance:
         # the forward computes only the class-token row of the final block
         assert np.array_equal(art.attention, maps[:, :, :1])
         assert np.array_equal(explain.extract_importance(art), maps[:, :, 0, 1:])
+
+    def test_chunked_capture_matches_per_window_maps(self):
+        # unit-scale weights, so that attention is far from uniform
+        init = np.random.default_rng(5)
+        params = {name: Tensor(init.normal(size=shape))
+                  for name, shape in vit.param_shapes(TINY).items()}
+        x = np.random.default_rng(6).uniform(size=(training.FORWARD_CHUNK, TINY.seq_len))
+        chunk = vit.forward(x, params, TINY, capture_attention=True).attention
+        single = np.concatenate([vit.forward(x[i:i + 1], params, TINY,
+                                             capture_attention=True).attention
+                                 for i in range(len(x))])
+        assert np.abs(chunk - single).max() <= 1e-12 * single.max()
 
     def test_invariant_to_head_weight_perturbation(self):
         params = vit.init_params(TINY, seed=0)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,45 @@ class TestTrainLoop:
             tr.train(x, y + TINY.n_classes, plan, TINY, hp, seed=0)
         assert not ad._TAPE
 
+    def test_predict_logits_matches_per_window_forwards(self, monkeypatch):
+        params = vit.init_params(TINY, seed=0)
+        forward, sizes = vit.forward, []
+
+        def recorded(x, *args, **kwargs):
+            sizes.append(len(x))
+            return forward(x, *args, **kwargs)
+
+        monkeypatch.setattr(vit, "forward", recorded)
+        for n in range(1, 12):
+            x = np.random.default_rng(n).normal(size=(n, TINY.seq_len))
+            got = tr.predict_logits(params, TINY, x)
+            want = np.concatenate([forward(x[i:i + 1], params, TINY).logits.data
+                                   for i in range(n)])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
+        assert max(sizes) == tr.FORWARD_CHUNK
+
+    def test_train_peak_memory_does_not_grow_with_batch_size(self):
+        """One epoch over 32 windows, whose activations (attention maps of 101
+        tokens) outweigh the parameters: a step of 32 windows tapes no more at
+        once than a step of 4."""
+        config = vit.VitConfig(seq_len=400, patch_size=4, hidden_dim=16, n_layers=2,
+                               n_heads=2, mlp_dim=16, n_classes=2, survival_prob=1.0)
+        x = np.random.default_rng(0).normal(size=(36, config.seq_len))
+        y = np.arange(36) % 2
+        plan = tr.SplitPlan(train=list(range(32)), val=list(range(32, 36)), test=[],
+                            split_mode="by_participant")
+
+        def peak(batch_size):
+            tracemalloc.start()
+            try:
+                tr.train(x, y, plan, config, tr.TrainHParams(batch_size=batch_size, max_epochs=1),
+                         seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(32) <= 2 * peak(4)
+
 
 class TestMetrics:
     def test_perfect_classifier(self):
@@ -319,3 +359,58 @@ def test_evaluate_probs_matches_per_class_oracle(case, task):
     got = tr.evaluate_probs(probs, y, task=task)
     want = oracle.evaluate_probs(probs, y, task=task)
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+# The training step as it ran before chunking, kept as the oracle: one forward,
+# loss and backward over the whole batch.
+
+
+def _whole_batch_step(params, config, x, y, rng):
+    with ad.recording():
+        logits = vit.forward(x, params, config, training=True,
+                             keep=vit.draw_keep(config, rng)).logits
+        loss = tr.cross_entropy(logits, y)
+        ad.backward(loss)
+    return float(loss.data), int(np.sum(np.argmax(logits.data, axis=1) == y))
+
+
+@settings(deadline=None)
+@given(n_patches=st.integers(1, 5), patch_size=st.integers(1, 3),
+       hidden_dim=st.integers(3, 7), n_heads=st.integers(1, 3), n_layers=st.integers(1, 2),
+       mlp_dim=st.integers(1, 4), n_classes=st.integers(2, 3), batch=st.integers(1, 11),
+       survival_prob=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_chunked_train_step_matches_whole_batch(n_patches, patch_size, hidden_dim, n_heads,
+                                                n_layers, mlp_dim, n_classes, batch,
+                                                survival_prob, seed):
+    """train_step draws as often as the whole-batch step, its loss is within
+    1e-12 relative, it counts as many windows right, and every parameter
+    gradient is within 1e-12 of the model's largest gradient entry (hidden_dim
+    starts at 3 for the reason given in test_vit's class-token property)."""
+    config = vit.VitConfig(seq_len=n_patches * patch_size, patch_size=patch_size,
+                           hidden_dim=hidden_dim, n_layers=n_layers,
+                           n_heads=min(n_heads, hidden_dim), mlp_dim=mlp_dim,
+                           n_classes=n_classes, survival_prob=survival_prob)
+    data = np.random.default_rng(seed)
+    x = data.normal(size=(batch, config.seq_len))
+    y = data.integers(0, n_classes, size=batch)
+
+    def run(step):
+        # unit-scale weights, so that attention is far from uniform
+        init = np.random.default_rng(seed)
+        params = {name: Tensor(init.normal(size=shape), requires_grad=True)
+                  for name, shape in vit.param_shapes(config).items()}
+        rng = np.random.default_rng(seed)
+        loss, correct = step(params, config, x, y, rng)
+        return loss, correct, {name: p.grad for name, p in params.items()}, rng.random()
+
+    got_loss, got_correct, got, got_next = run(tr.train_step)
+    want_loss, want_correct, want, want_next = run(_whole_batch_step)
+    assert got_next == want_next                       # as many draws per step
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert got_correct == want_correct
+    assert [name for name in want if got[name] is None] == \
+        [name for name in want if want[name] is None]
+    scale = max(np.abs(grad).max() for grad in want.values() if grad is not None)
+    for name, grad in want.items():
+        if grad is not None:
+            assert np.abs(got[name] - grad).max() <= 1e-12 * scale, name

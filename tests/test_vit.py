@@ -142,7 +142,7 @@ class TestEncoderLayer:
         z = np.random.default_rng(2).normal(size=(1, 5, 8))
         out_inf, _ = vit.encoder_layer(Tensor(z), tiny_params, 0, TINY)
         out_tr, _ = vit.encoder_layer(Tensor(z), tiny_params, 0, TINY, training=True,
-                                      rng=np.random.default_rng(0))
+                                      keep=vit.draw_keep(TINY, np.random.default_rng(0))[0])
         assert np.array_equal(out_inf.data, out_tr.data)
 
     def test_inference_deterministic(self, tiny_params):
@@ -219,7 +219,7 @@ class TestForward:
         params = vit.init_params(cfg, seed=0)
         with ad.recording():
             art = vit.forward(tiny_batch(2), params, cfg, training=True,
-                              rng=np.random.default_rng(0))
+                              keep=vit.draw_keep(cfg, np.random.default_rng(0)))
             cross_entropy(art.logits, np.array([0, 2]))
             assert len(ad._TAPE) == 10 * n_layers + 8
 
@@ -295,7 +295,8 @@ def test_class_token_last_block_matches_full_block(n_patches, patch_size, hidden
     y = data.integers(0, n_classes, size=batch)
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got_logits, got = _logits_and_grads(lambda params: vit.forward(
-        x, params, config, training=training, rng=got_rng).logits, config, y, seed)
+        x, params, config, training=training,
+        keep=vit.draw_keep(config, got_rng) if training else None).logits, config, y, seed)
     want_logits, want = _logits_and_grads(lambda params: _full_forward(
         x, params, config, training, want_rng), config, y, seed)
     assert got_rng.random() == want_rng.random()     # as many draws, in the same order
@@ -317,13 +318,20 @@ class TestStochasticDepth:
         x = tiny_batch(1)
         outs = {
             tuple(np.round(vit.forward(x, params, cfg, training=True,
-                                       rng=np.random.default_rng(s)).logits.data[0], 12))
+                                       keep=vit.draw_keep(cfg, np.random.default_rng(s))
+                                       ).logits.data[0], 12))
             for s in range(10)
         }
         assert len(outs) > 1  # different drop patterns give different outputs
         inf1 = vit.forward(x, params, cfg)
         inf2 = vit.forward(x, params, cfg)
         assert np.array_equal(inf1.logits.data, inf2.logits.data)
+
+
+    def test_training_below_survival_one_needs_the_draws(self):
+        cfg = dataclasses.replace(TINY, survival_prob=0.5)
+        with pytest.raises(ValueError, match="draw_keep"):
+            vit.forward(tiny_batch(1), vit.init_params(cfg, seed=0), cfg, training=True)
 
 
 class TestCheckpoint:
