@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,20 +24,12 @@ SPLIT_FIELDS = ("seed", "task", "train_frac", "val_frac", "test_frac")
 MAX_SYNTH_SAMPLES = 21_600_000  # 24 h at the default 250 Hz
 
 
-@dataclass
-class RunConfig(training.TrainHParams):
-    """Every run setting; the seven training ones are TrainHParams' fields. The
-    README's config table lists them all, with their defaults."""
+@dataclass(frozen=True)
+class RunConfig(vit.VitHParams, training.TrainHParams):
+    """Every run setting: the seven training ones are TrainHParams' fields, then
+    the eight model ones VitHParams'. The README's config table lists them all,
+    with their defaults."""
 
-    # model
-    seq_len: int = 2000
-    patch_size: int = 20
-    hidden_dim: int = 256
-    n_layers: int = 6
-    n_heads: int = 6
-    mlp_dim: int = 128
-    survival_prob: float = 0.8
-    ln_eps: float = 1e-6
     # preprocessing
     low_hz: float = 0.5
     high_hz: float = 40.0
@@ -72,6 +64,9 @@ class RunConfig(training.TrainHParams):
         if not 100 <= self.fs_target <= 10000:
             raise ValueError(f"config field 'fs_target' must be at least 100 Hz (synth and "
                              f"pan_tompkins need it) and at most 10000 Hz, got {self.fs_target}")
+        if self.high_hz >= self.fs_target / 2:  # the band would alias after resampling
+            raise ValueError(f"config field 'high_hz' must be below half of config field "
+                             f"'fs_target', got {self.high_hz} Hz at {self.fs_target} Hz")
         # the product is compared before round, which cannot take inf
         samples = self.synth_duration_s * self.fs_target
         if not samples <= MAX_SYNTH_SAMPLES or round(samples) < 1:
@@ -102,9 +97,8 @@ class RunConfig(training.TrainHParams):
         super().validate()
 
     def vit_config(self, n_classes: int) -> vit.VitConfig:
-        shared = {f.name: getattr(self, f.name) for f in fields(vit.VitConfig)
-                  if f.name != "n_classes"}
-        return vit.VitConfig(n_classes=n_classes, **shared)
+        return vit.VitConfig(n_classes=n_classes,
+                             **{f.name: getattr(self, f.name) for f in fields(vit.VitHParams)})
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -122,12 +116,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         key, value = item.split("=", 1)
         overrides[key] = value
     cfg = data_io.json_dataclass(cfg, overrides, "config", coerce=True)
-    if args.workdir:
-        cfg.workdir = args.workdir
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.task:
-        cfg.task = args.task
+    flags = {"workdir": args.workdir, "seed": args.seed, "task": args.task}
+    cfg = replace(cfg, **{name: value for name, value in flags.items() if value is not None})
     cfg.validate()
     return cfg
 
@@ -360,8 +350,10 @@ def main(argv: list[str] | None = None) -> int:
         prog="transecg",
         description="ECG preprocessing, transformer training and attention attribution",
     )
-    parser.add_argument("command",
-                        choices=["synth", "preprocess", "train", "evaluate", "explain"])
+    # built per call: a caller may have replaced a cmd_* function on this module
+    commands = {"synth": cmd_synth, "preprocess": cmd_preprocess, "train": cmd_train,
+                "evaluate": cmd_evaluate, "explain": cmd_explain}
+    parser.add_argument("command", choices=list(commands))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--workdir", help="working directory for all stage outputs")
     parser.add_argument("--seed", type=int, default=None, help="run seed")
@@ -372,13 +364,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args)
-        summary = {
-            "synth": cmd_synth,
-            "preprocess": cmd_preprocess,
-            "train": cmd_train,
-            "evaluate": cmd_evaluate,
-            "explain": cmd_explain,
-        }[args.command](cfg)
+        summary = commands[args.command](cfg)
     except (ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

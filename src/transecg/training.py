@@ -28,7 +28,7 @@ class SplitPlan:
     split_mode: str  # "by_participant" | "within_participant"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainHParams:
     lr: float = 1e-4
     batch_size: int = 32

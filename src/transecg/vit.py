@@ -11,8 +11,10 @@ is implemented here.
 An encoder layer that keeps both branches records ten autodiff nodes: the
 q, k and v projections, one `autodiff.attention` node for the heads, the
 output projection, two `autodiff.layer_norm` nodes that each add their
-residual branch (scaled by 1/p for stochastic depth), and the two biased FFN
-linears around a GELU.
+residual branch times its factor, and the two biased FFN linears around a
+GELU. Stochastic depth is all in the factors: `draw_keep` gives each branch
+of a training step 1/p if it survives and 0.0 (no branch) if not, and
+inference runs every branch at 1.0.
 
 The head reads only the class token, so `forward` runs the last layer on that
 row alone: one `autodiff.index` node takes it as [B, 1, D], and the query
@@ -39,22 +41,30 @@ from .autodiff import Tensor
 
 
 @dataclass(frozen=True)
-class VitConfig:
+class VitHParams:
+    """The model settings a run config sets; cli.RunConfig inherits them."""
     seq_len: int = 2000
     patch_size: int = 20
     hidden_dim: int = 256
     n_layers: int = 6
     n_heads: int = 6
     mlp_dim: int = 128
-    n_classes: int = 2
     survival_prob: float = 0.8
     ln_eps: float = 1e-6
+
+
+@dataclass(frozen=True)
+class VitConfig(VitHParams):
+    n_classes: int = 2
 
     def __post_init__(self):
         for name in ("seq_len", "patch_size", "hidden_dim", "n_layers", "n_heads",
                      "mlp_dim", "n_classes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name!r} must be positive")
+        if self.hidden_dim < 2:
+            raise ValueError(f"config field 'hidden_dim' must be at least 2, the width "
+                             f"layer_norm standardizes over, got {self.hidden_dim}")
         if self.seq_len % self.patch_size != 0:
             raise ValueError(
                 f"seq_len {self.seq_len} not divisible by patch_size {self.patch_size}"
@@ -151,47 +161,48 @@ def mhsa(z: Tensor, params: dict[str, Tensor], prefix: str, config: VitConfig,
     return ad.matmul(out, params[prefix + "w_o"]), attn if capture else None
 
 
-def draw_keep(config: VitConfig, rng: np.random.Generator) -> list[tuple[bool, bool]]:
-    """One training step's stochastic-depth draws: whether each layer keeps its
-    attention and its FFN branch, drawn layer by layer, attention first. At
-    survival_prob 1 every branch is kept and nothing is drawn."""
+def draw_keep(config: VitConfig, rng: np.random.Generator) -> list[tuple[float, float]]:
+    """One training step's stochastic-depth draws, drawn layer by layer, attention
+    first: each layer's (attention, FFN) residual factor, 1/survival_prob for a
+    kept branch and 0.0 for a dropped one. At survival_prob 1 every factor is 1.0
+    and nothing is drawn."""
     p = config.survival_prob
     if p >= 1.0:
-        return [(True, True)] * config.n_layers
-    return [(bool(rng.random() < p), bool(rng.random() < p)) for _ in range(config.n_layers)]
+        return [(1.0, 1.0)] * config.n_layers
+    kept = rng.random((config.n_layers, 2)) < p  # the same doubles as 2·n_layers scalar draws
+    return [tuple(row) for row in np.where(kept, 1.0 / p, 0.0).tolist()]
 
 
 def encoder_layer(z: Tensor, params: dict[str, Tensor], layer: int, config: VitConfig,
-                  training: bool = False, keep: tuple[bool, bool] = (True, True),
-                  capture: bool = False, cls_only: bool = False,
-                  ) -> tuple[Tensor, np.ndarray | None]:
-    """Post-norm residual block: LN(Z + MHSA(Z)) then LN(Z' + FFN(Z')), where
-    `keep` says whether the attention and the FFN branch are kept. With
+                  keep: tuple[float, float] = (1.0, 1.0), capture: bool = False,
+                  cls_only: bool = False) -> tuple[Tensor, np.ndarray | None]:
+    """Post-norm residual block: LN(Z + a·MHSA(Z)) then LN(Z' + f·FFN(Z')), where
+    `keep` holds the factors (a, f); a branch of factor 0.0 is dropped. With
     cls_only, only the class-token row [B, 1, D] attends and goes on, so the
     output is [B, 1, D] and the captured map [B, H, 1, T]."""
     pre = f"layers.{layer}."
-    branch_scale = 1.0 / config.survival_prob if training else 1.0  # a kept branch, in training
-    keep_att, keep_ffn = keep
+    att_scale, ffn_scale = keep
 
     rows = ad.index(z, (slice(None), slice(0, 1))) if cls_only else z
     att, maps = mhsa(z, params, pre, config, capture=capture, queries=rows)
     z = ad.layer_norm(rows, params[pre + "ln1.gamma"], params[pre + "ln1.beta"], config.ln_eps,
-                      residual=att if keep_att else None, residual_scale=branch_scale)
+                      residual=att if att_scale else None, residual_scale=att_scale)
 
     ffn = None
-    if keep_ffn:
+    if ffn_scale:
         hdn = ad.gelu(ad.matmul(z, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
         ffn = ad.matmul(hdn, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
     z = ad.layer_norm(z, params[pre + "ln2.gamma"], params[pre + "ln2.beta"], config.ln_eps,
-                      residual=ffn, residual_scale=branch_scale)
+                      residual=ffn, residual_scale=ffn_scale)
     return z, maps
 
 
 def forward(x: np.ndarray, params: dict[str, Tensor], config: VitConfig,
             training: bool = False, capture_attention: bool = False,
-            keep: list[tuple[bool, bool]] | None = None) -> ForwardArtifacts:
+            keep: list[tuple[float, float]] | None = None) -> ForwardArtifacts:
     """Full model pass over a batch of windows [B, seq_len] to class logits [B, K].
-    In training, `keep` holds the step's `draw_keep` draws, one pair per layer.
+    In training, `keep` holds the step's `draw_keep` factors, one pair per layer;
+    inference keeps every branch at factor 1.0.
     The last layer computes only the class-token row, the one the head reads.
     With capture_attention, the artifacts also carry that row of the final
     block's attention maps, [B, H, 1, N+1]."""
@@ -201,16 +212,14 @@ def forward(x: np.ndarray, params: dict[str, Tensor], config: VitConfig,
     if keep is None:
         if training and config.survival_prob < 1.0:
             raise ValueError("training with stochastic depth requires the draw_keep draws")
-        keep = [(True, True)] * config.n_layers
+        keep = [(1.0, 1.0)] * config.n_layers
 
     z = embed_patches(x, params, config)
     last = config.n_layers - 1
     for layer in range(config.n_layers):
-        z, maps = encoder_layer(
-            z, params, layer, config,
-            training=training, keep=keep[layer], capture=capture_attention and layer == last,
-            cls_only=layer == last,
-        )
+        z, maps = encoder_layer(z, params, layer, config, keep=keep[layer],
+                                capture=capture_attention and layer == last,
+                                cls_only=layer == last)
     z0 = ad.index(z, (slice(None), 0))               # [B, 1, D] -> [B, D]
     logits = ad.matmul(z0, params["head.w"], params["head.b"])
     return ForwardArtifacts(logits=logits, attention=maps)

@@ -167,6 +167,45 @@ class TestConfig:
         assert cfg.task == "age"
         assert cfg.seed == 3 and cfg.workdir == "w"
 
+    @pytest.mark.parametrize("flags", [True, False], ids=["flags", "no-flags"])
+    def test_flags_win_over_set_which_wins_over_the_file(self, tmp_path, monkeypatch, flags):
+        """The run's seed, workdir and task come from the flags, else from --set,
+        else from the file. main looks the command up when it is called, so a
+        cmd_* replaced on the module is the one that runs."""
+        cfile = tmp_path / "cfg.json"
+        cfile.write_text(json.dumps({"seed": 1, "workdir": "file", "task": "age"}))
+        runs = []
+        monkeypatch.setattr(cli, "cmd_synth", lambda cfg: runs.append(cfg) or "synth")
+        argv = ["synth", "--config", str(cfile), "--set", "seed=2", "--set", "workdir=set",
+                "--set", "task=id"]
+        if flags:
+            argv += ["--seed", "3", "--workdir", "flag", "--task", "gender"]
+        assert cli.main(argv) == 0
+        want = (3, "flag", "gender") if flags else (2, "set", "id")
+        assert [(cfg.seed, cfg.workdir, cfg.task) for cfg in runs] == [want]
+
+    @pytest.mark.parametrize("config", [cli.RunConfig(), training.TrainHParams()],
+                             ids=["RunConfig", "TrainHParams"])
+    def test_run_configs_are_frozen(self, config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.batch_size = 1
+
+    def test_band_edge_must_be_below_half_of_fs_target(self):
+        cli.RunConfig(fs_target=100.0, high_hz=49.9).validate()
+        with pytest.raises(ValueError, match="'high_hz'.*'fs_target'"):
+            cli.RunConfig(fs_target=100.0, high_hz=50.0).validate()
+
+    def test_band_edge_that_aliases_after_resampling_exits_naming_both_fields(
+            self, tmp_path, capsys):
+        """A 500 Hz record filtered to 60 Hz would fold 50-60 Hz into 100 Hz windows."""
+        assert run("synth", tmp_path, extra=["--set", "fs_target=500"]) == 0
+        code = run("preprocess", tmp_path,
+                   extra=["--set", "fs_target=100", "--set", "high_hz=60"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'high_hz'" in err and "'fs_target'" in err
+        assert not (tmp_path / cli.STORE_BIN).exists()
+
 
 @given(field=st.sampled_from(dataclasses.fields(cli.RunConfig)), text=st.text())
 def test_override_yields_field_type_or_names_field(field, text):
@@ -492,6 +531,8 @@ class TestErrors:
         (["synth_duration_s=1.7e308"], "synth_duration_s"),
         # 8.64e8 samples, several ~7 GB arrays if synthesize were reached
         (["synth_duration_s=86400", "fs_target=10000"], "synth_duration_s"),
+        # layer_norm needs a width of at least 2
+        (["hidden_dim=1", "n_heads=1"], "hidden_dim"),
     ])
     def test_bad_config_exits_naming_field(self, tmp_path, capsys, overrides, field):
         extra = [arg for item in overrides for arg in ("--set", item)]

@@ -44,6 +44,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             vit.VitConfig(**{field: 0})
 
+    def test_hidden_dim_one_rejected(self):
+        """layer_norm standardizes over hidden_dim, so width 1 is refused up front."""
+        with pytest.raises(ValueError, match="'hidden_dim' must be at least 2"):
+            vit.VitConfig(hidden_dim=1, n_heads=1)
+
 
 class TestInit:
     def test_deterministic(self):
@@ -141,7 +146,7 @@ class TestEncoderLayer:
     def test_training_survival_one_matches_inference(self, tiny_params):
         z = np.random.default_rng(2).normal(size=(1, 5, 8))
         out_inf, _ = vit.encoder_layer(Tensor(z), tiny_params, 0, TINY)
-        out_tr, _ = vit.encoder_layer(Tensor(z), tiny_params, 0, TINY, training=True,
+        out_tr, _ = vit.encoder_layer(Tensor(z), tiny_params, 0, TINY,
                                       keep=vit.draw_keep(TINY, np.random.default_rng(0))[0])
         assert np.array_equal(out_inf.data, out_tr.data)
 
@@ -311,6 +316,22 @@ def test_class_token_last_block_matches_full_block(n_patches, patch_size, hidden
 
 
 class TestStochasticDepth:
+    @pytest.mark.parametrize("p", [0.3, 0.8])
+    def test_draw_keep_gives_branch_factors_in_draw_order(self, p):
+        """Each layer's (attention, FFN) factor is 1/p for a branch whose scalar draw
+        falls below p, else 0.0, drawn layer by layer, attention first."""
+        cfg = dataclasses.replace(TINY, n_layers=5, survival_prob=p)
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        want = [tuple(1.0 / p if want_rng.random() < p else 0.0 for _ in range(2))
+                for _ in range(cfg.n_layers)]
+        assert vit.draw_keep(cfg, got_rng) == want
+        assert got_rng.random() == want_rng.random()
+
+    def test_draw_keep_at_survival_one_keeps_every_branch_and_draws_nothing(self):
+        rng = np.random.default_rng(4)
+        assert vit.draw_keep(TINY, rng) == [(1.0, 1.0)] * TINY.n_layers
+        assert rng.random() == np.random.default_rng(4).random()
+
     def test_branches_dropped_changes_output(self):
         cfg = vit.VitConfig(seq_len=40, patch_size=10, hidden_dim=8, n_layers=2,
                             n_heads=2, mlp_dim=16, n_classes=3, survival_prob=0.5)
