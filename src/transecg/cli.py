@@ -36,7 +36,6 @@ class RunConfig(vit.VitHParams, training.TrainHParams):
     filter_order: int = 4
     fs_target: float = 250.0
     median_kernel: int = 5
-    stride: int = 0  # 0 means non-overlapping (= seq_len)
     # task and split
     task: str = "gender"
     seed: int = 0
@@ -73,9 +72,8 @@ class RunConfig(vit.VitHParams, training.TrainHParams):
             raise ValueError(f"config fields 'synth_duration_s' and 'fs_target' must give 1 to "
                              f"{MAX_SYNTH_SAMPLES} samples, got {self.synth_duration_s} s at "
                              f"{self.fs_target} Hz")
-        for name in ("stride", "synth_noise_std"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"config field {name!r} must be non-negative")
+        if self.synth_noise_std < 0:
+            raise ValueError("config field 'synth_noise_std' must be non-negative")
         if self.median_kernel < 1 or self.median_kernel % 2 == 0:
             raise ValueError(f"config field 'median_kernel' must be odd and at least 1, "
                              f"got {self.median_kernel}")
@@ -180,16 +178,15 @@ def cmd_preprocess(cfg: RunConfig) -> str:
                                                   entry.fs)
                 except ValueError as e:
                     raise ValueError(f"{manifest_path}: record {i} field 'fs': {e}") from None
-                offsets, rows = signal_core.preprocess_record(
+                rows = signal_core.preprocess_record(
                     data_io.load_record(entry), spec, cfg.fs_target, cfg.median_kernel,
-                    cfg.seq_len, cfg.stride or cfg.seq_len,
-                    f"{entry.subject_id} ({entry.csv_path})")
+                    cfg.seq_len, f"{entry.subject_id} ({entry.csv_path})")
                 f.write(rows.astype("<f8", copy=False).tobytes())
                 excluded += not len(rows)
                 index += [{
                     "subject_id": entry.subject_id, "source_offset": offset,
                     "gender": entry.gender, "age_years": entry.age_years,
-                } for offset in offsets]
+                } for offset in range(0, rows.size, cfg.seq_len)]
         if not index:
             raise ValueError(f"{manifest_path}: no window of seq_len {cfg.seq_len} samples: "
                              f"{excluded} of {len(entries)} records excluded; no store written")
@@ -207,7 +204,8 @@ def load_store(
 ) -> tuple[np.ndarray, np.ndarray, dict[str, int], training.SplitPlan]:
     """Read the window store, label each window for the task, and split the
     labeled ones: (x, y, vocab, plan), with the plan indexing rows of x.
-    The store's windows must be seq_len samples long, the length `owner` has."""
+    The store's windows must be seq_len samples long, the length `owner` has,
+    and no two windows of one subject may share a sample."""
     workdir = Path(cfg.workdir)
     index_path, bin_path = workdir / STORE_INDEX, workdir / STORE_BIN
     doc = data_io.read_json(index_path)
@@ -229,6 +227,13 @@ def load_store(
         data_io.json_field(row, "age_years", int, where, optional=True)
     subject_ids = [row["subject_id"] for row in rows]
     offsets = [row["source_offset"] for row in rows]
+    last: dict[str, int] = {}
+    for sid, offset in sorted(zip(subject_ids, offsets)):
+        if sid in last and offset - last[sid] < seq_len:  # the two windows share samples
+            raise ValueError(f"{index_path}: subject {sid!r} has windows at field "
+                             f"'source_offset' {last[sid]} and {offset}, less than seq_len "
+                             f"{seq_len} apart; preprocess again")
+        last[sid] = offset
     size = bin_path.stat().st_size
     if size != len(rows) * seq_len * 8:
         raise ValueError(f"{bin_path} holds {size} bytes, but {index_path} lists "

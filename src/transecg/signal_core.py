@@ -125,46 +125,45 @@ def minmax_normalize(x: np.ndarray) -> np.ndarray:
     return (x - lo) / np.where(span == 0.0, 1.0, span)
 
 
-def window(x: np.ndarray, seq_len: int, stride: int) -> np.ndarray:
+def window(x: np.ndarray, seq_len: int) -> np.ndarray:
     """Cut a filtered, resampled trace into min-max normalized windows.
 
     Returns a [n, seq_len] array whose row i holds samples
-    [i*stride, i*stride + seq_len). The trailing partial window is dropped, so
-    a trace shorter than seq_len gives no rows.
+    [i*seq_len, (i+1)*seq_len), so no two rows share a sample. The trailing
+    partial window is dropped, so a trace shorter than seq_len gives no rows.
     """
     if seq_len <= 0:
         raise ValueError("seq_len must be positive")
-    if stride <= 0:
-        raise ValueError("stride must be positive")
     x = np.asarray(x, dtype=np.float64)
-    if x.size < seq_len:
+    n = x.size // seq_len
+    if not n:
         return np.empty((0, seq_len))
-    return minmax_normalize(np.lib.stride_tricks.sliding_window_view(x, seq_len)[::stride])
+    return minmax_normalize(x[:n * seq_len].reshape(n, seq_len))
 
 
 def preprocess_record(record: EcgRecord, spec: FilterSpec, fs_target: float, median_kernel: int,
-                      seq_len: int, stride: int, name: str) -> tuple[range, np.ndarray]:
+                      seq_len: int, name: str) -> np.ndarray:
     """Full preprocessing chain: bandpass, median, resample, window, normalize.
 
-    Returns (offsets, windows): row i of the [n, seq_len] windows starts at
-    resampled sample offsets[i]. A record too short to filter, for the median
-    kernel or for one window gives no rows and is logged as excluded under
-    `name`, which the caller gives (the CLI's is "<subject_id> (<csv>)").
+    Returns the [n, seq_len] windows; row i starts at resampled sample
+    i*seq_len. A record too short to filter, for the median kernel or for one
+    window gives no rows and is logged as excluded under `name`, which the
+    caller gives (the CLI's is "<subject_id> (<csv>)").
     """
     sos = design_butterworth_bandpass(spec)
     pad = filter_pad_length(sos)
     if record.samples.size <= pad:
         logger.warning("record %s excluded: %d samples, too few to filter (needs more than %d)",
                        name, record.samples.size, pad)
-        return range(0), np.empty((0, seq_len))
+        return np.empty((0, seq_len))
     if record.samples.size < median_kernel:
         logger.warning("record %s excluded: %d samples, fewer than median_kernel %d",
                        name, record.samples.size, median_kernel)
-        return range(0), np.empty((0, seq_len))
+        return np.empty((0, seq_len))
     x = filtfilt(sos, record.samples)
     x = median_filter(x, median_kernel)
     x = resample(x, record.fs, fs_target)
-    windows = window(x, seq_len, stride)
+    windows = window(x, seq_len)
     if not len(windows):
         logger.warning("record %s excluded: %d samples < window length %d", name, x.size, seq_len)
-    return range(0, len(windows) * stride, stride), windows
+    return windows

@@ -4,9 +4,9 @@ logits `forward` returns; the loss and probabilities are the caller's.
 
 With hidden_dim=256 and 6 heads the per-head width is floor(256/6)=42, so the
 concatenated heads span 252 dims and the output projection maps 252 -> 256.
-The convolutional patch embedding with kernel=stride=patch_size is identical
-to flattening each patch and applying one linear projection, which is how it
-is implemented here.
+A convolutional patch embedding whose kernel and step both equal patch_size
+is identical to flattening each patch and applying one linear projection,
+which is how it is implemented here.
 
 An encoder layer that keeps both branches records ten autodiff nodes: the
 q, k and v projections, one `autodiff.attention` node for the heads, the
@@ -66,11 +66,11 @@ class VitConfig(VitHParams):
             raise ValueError(f"config field 'hidden_dim' must be at least 2, the width "
                              f"layer_norm standardizes over, got {self.hidden_dim}")
         if self.seq_len % self.patch_size != 0:
-            raise ValueError(
-                f"seq_len {self.seq_len} not divisible by patch_size {self.patch_size}"
-            )
+            raise ValueError(f"config field 'seq_len' must be a multiple of config field "
+                             f"'patch_size', got {self.seq_len} and {self.patch_size}")
         if self.head_dim < 1:
-            raise ValueError("hidden_dim too small for n_heads")
+            raise ValueError(f"config field 'hidden_dim' must be at least config field "
+                             f"'n_heads', got {self.hidden_dim} and {self.n_heads}")
         if not (0.0 < self.survival_prob <= 1.0):
             raise ValueError("config field 'survival_prob' must be in (0, 1]")
 

@@ -248,7 +248,7 @@ def test_07_identity_task():
             bpm=60.0, duration_s=48.0, fs=250.0, waves=waves,
             noise_std=0.01, seed=i,
         ))
-        rows = signal_core.window(record.samples, cfg.seq_len, cfg.seq_len)
+        rows = signal_core.window(record.samples, cfg.seq_len)
         xs.extend(rows)
         subject_ids += [f"S{i:03d}"] * len(rows)
         offsets += range(0, len(rows) * cfg.seq_len, cfg.seq_len)

@@ -302,15 +302,20 @@ class TestCommands:
         excluded = [r.getMessage() for r in caplog.records if "excluded" in r.getMessage()]
         assert excluded == ["record S000 excluded: no gender label (4 windows)"]
 
-    def test_default_stride_is_seq_len(self, pipeline, tmp_path):
+    def test_default_stride_is_seq_len(self, pipeline, tmp_path, capsys):
+        """Windows tile a record at seq_len, and no option sets another stride."""
         index = json.loads((pipeline / "windows.json").read_text())
         offsets = [row["source_offset"] for row in index["windows"] if row["subject_id"] == "S000"]
         assert offsets == [0, 1000, 2000, 3000]  # seq_len 1000 in TINY_ARGS
         manifest = pipeline / "data" / "manifest.json"
         assert run("preprocess", tmp_path,
-                   extra=["--set", f"manifest={manifest}", "--set", "stride=1000"]) == 0
-        for name in ("windows.bin", "windows.json"):
-            assert (tmp_path / name).read_bytes() == (pipeline / name).read_bytes()
+                   extra=["--set", f"manifest={manifest}", "--set", "stride=1000"]) == 1
+        assert "unknown config field 'stride'" in capsys.readouterr().err
+        cfile = tmp_path / "config.json"
+        cfile.write_text(json.dumps({"manifest": str(manifest), "stride": 1000}))
+        assert run("preprocess", tmp_path, extra=["--config", str(cfile)]) == 1
+        assert "unknown config field 'stride'" in capsys.readouterr().err
+        assert not (tmp_path / "windows.json").exists()
 
     def test_explain_artifacts(self, pipeline):
         assert run("explain", pipeline) == 0
@@ -533,6 +538,10 @@ class TestErrors:
         (["synth_duration_s=86400", "fs_target=10000"], "synth_duration_s"),
         # layer_norm needs a width of at least 2
         (["hidden_dim=1", "n_heads=1"], "hidden_dim"),
+        pytest.param(["patch_size=30"], "config field 'seq_len' must be a multiple of config "
+                     "field 'patch_size'", id="overrides33-seq_len-patch_size"),
+        pytest.param(["hidden_dim=2", "n_heads=3"], "config field 'hidden_dim' must be at least "
+                     "config field 'n_heads'", id="overrides34-hidden_dim-n_heads"),
     ])
     def test_bad_config_exits_naming_field(self, tmp_path, capsys, overrides, field):
         extra = [arg for item in overrides for arg in ("--set", item)]
@@ -742,6 +751,27 @@ class TestErrors:
         assert run("train", tmp_path) == 1
         err = capsys.readouterr().err
         assert "windows.json" in err and repr(field) in err
+
+    @pytest.mark.parametrize("command,task", [
+        ("train", "gender"), ("train", "age"), ("train", "id"),
+        ("evaluate", "gender"), ("explain", "gender"),
+    ])
+    def test_store_of_overlapping_windows_refused(self, pipeline, tmp_path, capsys,
+                                                  command, task):
+        """Windows of one subject less than seq_len apart share samples, so a
+        test window could hold training samples: every task refuses the store."""
+        index = json.loads((pipeline / "windows.json").read_text())
+        rows = [row for row in index["windows"] if row["subject_id"] == "S000"]
+        for k, row in enumerate(rows):
+            row["source_offset"] = 250 * k  # seq_len 1000 in TINY_ARGS
+        (tmp_path / "windows.json").write_text(json.dumps(index))
+        for name in ("windows.bin", "model.ckpt"):
+            shutil.copy(pipeline / name, tmp_path / name)
+        assert run(command, tmp_path, extra=["--task", task]) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "windows.json") in err
+        assert ("subject 'S000' has windows at field 'source_offset' 0 and 250, less than "
+                "seq_len 1000 apart; preprocess again") in err
 
     @pytest.mark.parametrize("task", ["gender", "id"])
     @pytest.mark.parametrize("field,value", [

@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from scipy import signal as sps
 
 from transecg import signal_core as sc
+from transecg import training
+from transecg.data_io import Task
 
 
 @pytest.fixture
@@ -158,30 +160,30 @@ class TestNormalize:
 class TestWindow:
     def test_two_windows(self):
         x = np.arange(5000.0)
-        wins = sc.window(x, 2000, 2000)
+        wins = sc.window(x, 2000)
         assert wins.shape == (2, 2000)
         assert np.array_equal(wins[1], sc.minmax_normalize(x[2000:4000]))
 
     def test_short_record_excluded(self):
-        assert sc.window(np.arange(1999.0), 2000, 2000).shape == (0, 2000)
+        assert sc.window(np.arange(1999.0), 2000).shape == (0, 2000)
 
     def test_exact_length_single_window(self):
-        assert len(sc.window(np.arange(2000.0), 2000, 2000)) == 1
+        assert len(sc.window(np.arange(2000.0), 2000)) == 1
 
-    @pytest.mark.parametrize("n,seq,stride", [(7000, 2000, 1000), (6000, 2000, 2000), (2500, 500, 250)])
-    def test_window_count_formula(self, n, seq, stride):
-        wins = sc.window(np.arange(float(n)), seq, stride)
-        assert len(wins) == (n - seq) // stride + 1
+    @pytest.mark.parametrize("n,seq", [(7000, 2000), (6000, 2000), (2500, 500)])
+    def test_window_count_formula(self, n, seq):
+        wins = sc.window(np.arange(float(n)), seq)
+        assert len(wins) == n // seq
 
     def test_windows_normalized(self):
         rng = np.random.default_rng(5)
-        for w in sc.window(rng.normal(size=4000), 2000, 2000):
+        for w in sc.window(rng.normal(size=4000), 2000):
             assert w.min() == 0.0 and w.max() == 1.0
 
 
-def per_window_loop(x, seq_len, stride):
+def per_window_loop(x, seq_len):
     """Reference windowing: normalize one slice at a time."""
-    return [sc.minmax_normalize(x[o:o + seq_len]) for o in range(0, x.size - seq_len + 1, stride)]
+    return [sc.minmax_normalize(x[o:o + seq_len]) for o in range(0, x.size - seq_len + 1, seq_len)]
 
 
 @st.composite
@@ -191,10 +193,10 @@ def signals(draw):
     return np.array([value for value, length in runs for _ in range(length)], dtype=np.float64)
 
 
-@given(x=signals(), seq_len=st.integers(1, 20), stride=st.integers(1, 25))
-def test_window_matches_per_window_loop(x, seq_len, stride):
-    want = np.array(per_window_loop(x, seq_len, stride), dtype=np.float64).reshape(-1, seq_len)
-    got = sc.window(x, seq_len, stride)
+@given(x=signals(), seq_len=st.integers(1, 20))
+def test_window_matches_per_window_loop(x, seq_len):
+    want = np.array(per_window_loop(x, seq_len), dtype=np.float64).reshape(-1, seq_len)
+    got = sc.window(x, seq_len)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -211,21 +213,51 @@ class TestPreprocessRecord:
     def _record(n):
         return sc.EcgRecord(np.random.default_rng(6).normal(size=n), 250.0)
 
-    @pytest.mark.parametrize("stride,offsets", [(2000, [0, 2000]), (1000, [0, 1000, 2000, 3000])])
-    def test_offsets_match_rows(self, stride, offsets):
-        got, wins = sc.preprocess_record(self._record(5000), self.SPEC, 250.0, 5, 2000, stride,
-                                         "s1")
-        assert list(got) == offsets
-        assert wins.shape == (len(offsets), 2000)
+    @pytest.mark.parametrize("seq_len,offsets", [(2000, [0, 2000]), (1000, [0, 1000, 2000, 3000])])
+    def test_offsets_match_rows(self, seq_len, offsets):
+        """Row i holds the processed trace's samples from i*seq_len, the offset
+        preprocess stores for it; the trailing 999 samples make no row."""
+        record = self._record(4999)
+        wins = sc.preprocess_record(record, self.SPEC, 250.0, 5, seq_len, "s1")
+        sos = sc.design_butterworth_bandpass(self.SPEC)
+        trace = sc.resample(sc.median_filter(sc.filtfilt(sos, record.samples), 5), 250.0, 250.0)
+        assert wins.shape == (len(offsets), seq_len)
+        for row, offset in zip(wins, offsets):
+            assert np.array_equal(row, sc.minmax_normalize(trace[offset:offset + seq_len]))
 
     def test_short_record_logged_as_excluded(self, caplog):
-        offsets, wins = sc.preprocess_record(self._record(1999), self.SPEC, 250.0, 5, 2000, 2000,
-                                             "s1")
-        assert list(offsets) == [] and wins.shape == (0, 2000)
+        wins = sc.preprocess_record(self._record(1999), self.SPEC, 250.0, 5, 2000, "s1")
+        assert wins.shape == (0, 2000)
         assert "record s1 excluded" in caplog.text
 
     def test_record_too_short_to_filter_logged_as_excluded(self, caplog):
-        offsets, wins = sc.preprocess_record(self._record(27), self.SPEC, 250.0, 5, 10, 10,
-                                             "s1 (s1.csv)")
-        assert list(offsets) == [] and wins.shape == (0, 10)
+        wins = sc.preprocess_record(self._record(27), self.SPEC, 250.0, 5, 10, "s1 (s1.csv)")
+        assert wins.shape == (0, 10)
         assert "record s1 (s1.csv) excluded: 27 samples, too few to filter" in caplog.text
+
+
+@given(seq_len=st.integers(1, 40), lengths=st.lists(st.integers(1, 400), min_size=1, max_size=2),
+       val=st.floats(0.05, 0.4), test=st.floats(0.05, 0.4), seed=st.integers(0, 2**32 - 1))
+def test_id_split_shares_no_sample_with_train(seq_len, lengths, val, test, seed):
+    """A record's rows tile its trace, and are stored at offset i * seq_len as
+    preprocess stores them. Split by the id task, no val or test window shares
+    a sample with a train window."""
+    spec = sc.FilterSpec(0.5, 40.0, 4, 250.0)
+    pad = sc.filter_pad_length(sc.design_butterworth_bandpass(spec))
+    rng = np.random.default_rng(seed)
+    subject_ids, offsets = [], []
+    for k, n in enumerate(lengths):
+        wins = sc.preprocess_record(sc.EcgRecord(rng.normal(size=n), 250.0), spec, 250.0, 5,
+                                    seq_len, f"S{k}")
+        assert len(wins) == (n // seq_len if n > pad else 0)  # resampling 250 Hz keeps n
+        subject_ids += [f"S{k}"] * len(wins)
+        offsets += range(0, wins.size, seq_len)
+    try:
+        plan = training.make_split(subject_ids, offsets, Task.PARTICIPANT_ID, seed,
+                                   fractions=(1 - val - test, val, test))
+    except ValueError:  # too few windows to split: nothing is scored
+        event("split refused")
+        return
+    for i in plan.val + plan.test:
+        for j in plan.train:
+            assert subject_ids[i] != subject_ids[j] or abs(offsets[i] - offsets[j]) >= seq_len

@@ -35,7 +35,8 @@ class TestConfig:
         assert cfg.n_heads * cfg.head_dim == 252
 
     def test_indivisible_seq_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="config field 'seq_len' must be a multiple of "
+                                             "config field 'patch_size', got 2001 and 20"):
             vit.VitConfig(seq_len=2001, patch_size=20)
 
     @pytest.mark.parametrize("field", ["seq_len", "patch_size", "hidden_dim", "n_layers",
