@@ -319,23 +319,19 @@ def cmd_explain(cfg: RunConfig) -> str:
     first = None
     errors = []
     windows = x[plan.test[:cfg.explain_windows]]
-    for lo in range(0, len(windows), training.FORWARD_CHUNK):
-        chunk = windows[lo:lo + training.FORWARD_CHUNK]
-        maps = vit.forward(chunk, params, config, capture_attention=True).attention
-        for window, window_maps in zip(chunk, maps):
-            # one window per call: perfbench counts the calls as windows attempted
-            art = vit.ForwardArtifacts(logits=None, attention=window_maps[None])
-            per_head = explain.extract_importance(art)[0]
-            try:
-                peaks = delineation.pan_tompkins(window, cfg.fs_target)
-                fids = delineation.delineate(window, peaks, cfg.fs_target)
-                percentages.append(explain.attribute(
-                    per_head.mean(axis=0), delineation.intervals(fids), config.patch_size))
-            except ValueError as e:
-                errors.append(e)
-                continue
-            if first is None:
-                first = (per_head, window)
+    captured = training.forward_each(params, config, windows, capture_attention=True)
+    for window, art in zip(windows, captured):
+        per_head = explain.extract_importance(art)[0]
+        try:
+            peaks = delineation.pan_tompkins(window, cfg.fs_target)
+            fids = delineation.delineate(window, peaks, cfg.fs_target)
+            percentages.append(explain.attribute(
+                per_head.mean(axis=0), delineation.intervals(fids), config.patch_size))
+        except ValueError as e:
+            errors.append(e)
+            continue
+        if first is None:
+            first = (per_head, window)
 
     if not percentages:
         raise ValueError(f"explain: no window could be attributed ({len(errors)} skipped, "

@@ -45,13 +45,11 @@ def head_weights(params: dict[str, Tensor], config: VitConfig) -> np.ndarray:
     """Per-head weights from the final block's output projection.
 
     Each head's weight is the Frobenius norm of its rows of W_O, normalized so
-    the dominant head scores exactly 1.0.
+    the dominant head scores exactly 1.0. The squares are summed by NumPy, not
+    by a BLAS dot product, whose threading would change the last digit.
     """
     w_o = params[f"layers.{config.n_layers - 1}.w_o"].data
-    dh = config.head_dim
-    raw = np.array([
-        np.linalg.norm(w_o[h * dh:(h + 1) * dh, :]) for h in range(config.n_heads)
-    ])
+    raw = np.sqrt(np.square(w_o).reshape(config.n_heads, -1).sum(axis=1))
     return raw / raw.max()
 
 

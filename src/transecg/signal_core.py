@@ -6,6 +6,7 @@ A record's windows are the rows of one [n, seq_len] array.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -56,13 +57,19 @@ class FilterSpec:
 def design_butterworth_bandpass(spec: FilterSpec) -> np.ndarray:
     """Design an order-`spec.order` Butterworth bandpass as second-order sections.
 
-    Returns the SOS coefficient array, shape (n_sections, 6).
+    Returns the SOS coefficient array, shape (n_sections, 6). Each spec is
+    designed once; every call gets its own copy, since SciPy's sosfilt refuses
+    a read-only array and a shared writable one could be changed by a caller.
     """
+    return _butterworth_sos(spec).copy()
+
+
+@functools.lru_cache
+def _butterworth_sos(spec: FilterSpec) -> np.ndarray:
     nyq = spec.fs / 2.0
-    sos = sps.butter(
+    return sps.butter(
         spec.order, [spec.low_hz / nyq, spec.high_hz / nyq], btype="bandpass", output="sos"
     )
-    return sos
 
 
 def sos_gain(sos: np.ndarray, freq_hz: float, fs: float) -> float:

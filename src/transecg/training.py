@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
-from collections.abc import Sequence
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +19,9 @@ from .data_io import Task
 
 logger = logging.getLogger(__name__)
 
-# the most windows any forward sees: a training step of batch_size windows runs
-# forward, loss and backward over chunks of this many, and inference forwards too
+# the most windows in a forward at once: a training step of batch_size windows runs
+# forward, loss and backward over chunks of this many, and inference runs one
+# window per forward on at most this many threads
 FORWARD_CHUNK = 4
 
 
@@ -136,10 +141,88 @@ def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(scores, axis=1) == labels))
 
 
+@functools.cache
+def blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The getter and setter of the thread count of numpy's own OpenBLAS, looked
+    up once through ctypes on numpy's extension module; None where it exports
+    none (numpy on another BLAS)."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def forward_each(params, config, x: np.ndarray,
+                 capture_attention: bool = False) -> list[vit.ForwardArtifacts]:
+    """Inference forwards of windows x, one window per `vit.forward` call, so a
+    window's logits and maps depend neither on its neighbours nor on the core
+    or BLAS thread count.
+
+    The windows go out in order to min(cores, FORWARD_CHUNK) workers: the
+    calling thread and helper threads. Meanwhile numpy's OpenBLAS runs one
+    thread; inference tapes nothing and NumPy releases the GIL, so the workers
+    run in parallel. Without a BLAS thread setter, the calling thread alone
+    runs, at the BLAS thread count it finds. The first failed window's error
+    is raised once every helper has ended and the thread count is restored.
+    """
+    blas = blas_threads()
+    workers = min(_cores(), FORWARD_CHUNK, len(x)) if blas else 1
+    out: list[vit.ForwardArtifacts | None] = [None] * len(x)
+    failed: list[tuple[int, Exception]] = []
+    stop = threading.Event()
+    lock = threading.Lock()
+    todo = iter(range(len(x)))
+
+    def work():
+        while not stop.is_set():
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                out[i] = vit.forward(x[i:i + 1], params, config,
+                                     capture_attention=capture_attention)
+            except Exception as e:  # raised again in the calling thread
+                failed.append((i, e))
+                stop.set()
+
+    helpers: list[threading.Thread] = []
+    if blas:
+        before = blas[0]()
+        blas[1](1)
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=work, daemon=True)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+        if blas:
+            blas[1](before)
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return out
+
+
 def predict_logits(params, config, x: np.ndarray) -> np.ndarray:
-    """Inference-mode class logits of windows, FORWARD_CHUNK windows per forward."""
-    return np.concatenate([vit.forward(x[lo:lo + FORWARD_CHUNK], params, config).logits.data
-                           for lo in range(0, x.shape[0], FORWARD_CHUNK)], axis=0)
+    """Inference-mode class logits of windows, one window per forward (`forward_each`)."""
+    return np.concatenate([art.logits.data for art in forward_each(params, config, x)], axis=0)
 
 
 def predict_probs(params, config, x: np.ndarray) -> np.ndarray:

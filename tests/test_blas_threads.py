@@ -1,0 +1,72 @@
+"""`evaluate` and `explain` write the same bytes whatever the BLAS thread count
+and however many inference workers run, at a width where OpenBLAS threads."""
+
+import ctypes
+import hashlib
+
+import numpy as np
+import pytest
+
+from transecg import cli, training
+
+ARGS = [
+    "--seed", "0", "--task", "gender",
+    "--set", "seq_len=1000", "--set", "patch_size=20",
+    "--set", "hidden_dim=256", "--set", "n_layers=1", "--set", "n_heads=4",
+    "--set", "mlp_dim=64", "--set", "survival_prob=1.0",
+    "--set", "synth_subjects=8", "--set", "synth_duration_s=16",
+    "--set", "max_epochs=1", "--set", "batch_size=8", "--set", "explain_windows=8",
+]
+
+
+def openblas_threads():
+    """The getter and setter of numpy's OpenBLAS thread count, or None."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("wide")
+    for command in ("synth", "preprocess", "train"):
+        assert cli.main([command, "--workdir", str(workdir), *ARGS]) == 0
+    return workdir
+
+
+def outputs(workdir):
+    """sha256 of metrics.json and of every explain/ file after evaluate and explain."""
+    for command in ("evaluate", "explain"):
+        assert cli.main([command, "--workdir", str(workdir), *ARGS]) == 0
+    files = [workdir / "metrics.json", *sorted((workdir / "explain").iterdir())]
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(trained):
+    blas = openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread count setter")
+    get, put = blas
+    previous = get()
+    try:
+        put(1)
+        one = outputs(trained)
+        put(2)
+        two = outputs(trained)
+    finally:
+        put(previous)
+    assert len(one) == 5
+    assert one == two
+
+
+def test_outputs_do_not_depend_on_the_number_of_workers(trained, monkeypatch):
+    monkeypatch.setattr(training, "_cores", lambda: 1)
+    one = outputs(trained)
+    monkeypatch.setattr(training, "_cores", lambda: training.FORWARD_CHUNK)
+    assert outputs(trained) == one

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -251,10 +253,18 @@ class TestTrainLoop:
     def test_predict_logits_matches_per_window_forwards(self, monkeypatch):
         params = vit.init_params(TINY, seed=0)
         forward, sizes = vit.forward, []
+        lock, inside, most = threading.Lock(), [0], [0]
 
         def recorded(x, *args, **kwargs):
-            sizes.append(len(x))
-            return forward(x, *args, **kwargs)
+            with lock:
+                sizes.append(len(x))
+                inside[0] += len(x)
+                most[0] = max(most[0], inside[0])
+            try:
+                return forward(x, *args, **kwargs)
+            finally:
+                with lock:
+                    inside[0] -= len(x)
 
         monkeypatch.setattr(vit, "forward", recorded)
         for n in range(1, 12):
@@ -262,8 +272,82 @@ class TestTrainLoop:
             got = tr.predict_logits(params, TINY, x)
             want = np.concatenate([forward(x[i:i + 1], params, TINY).logits.data
                                    for i in range(n)])
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
-        assert max(sizes) == tr.FORWARD_CHUNK
+            assert np.array_equal(got, want), n
+        assert set(sizes) == {1}
+        assert sum(sizes) == sum(range(1, 12))
+        assert most[0] <= tr.FORWARD_CHUNK
+
+    def test_predict_logits_runs_forward_chunk_windows_at_once_on_many_cores(self, monkeypatch):
+        if tr.blas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread count setter: one worker runs")
+        params = vit.init_params(TINY, seed=0)
+        forward = vit.forward
+        # each of the first FORWARD_CHUNK forwards waits until all of them have begun
+        together = threading.Barrier(tr.FORWARD_CHUNK, timeout=30)
+        lock, inside, most, calls = threading.Lock(), [0], [0], [0]
+
+        def recorded(x, *args, **kwargs):
+            with lock:
+                calls[0] += 1
+                first = calls[0] <= tr.FORWARD_CHUNK
+                inside[0] += len(x)
+                most[0] = max(most[0], inside[0])
+            try:
+                if first:
+                    together.wait()
+                return forward(x, *args, **kwargs)
+            finally:
+                with lock:
+                    inside[0] -= len(x)
+
+        monkeypatch.setattr(tr, "_cores", lambda: 64)
+        monkeypatch.setattr(vit, "forward", recorded)
+        x = np.random.default_rng(0).normal(size=(3 * tr.FORWARD_CHUNK, TINY.seq_len))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches inside the hand-out
+        try:
+            got = tr.predict_logits(params, TINY, x)
+        finally:
+            sys.setswitchinterval(interval)
+        assert most[0] == tr.FORWARD_CHUNK
+        assert calls[0] == len(x)
+        assert np.array_equal(got, np.concatenate([forward(x[i:i + 1], params, TINY).logits.data
+                                                   for i in range(len(x))]))
+
+    def test_predict_logits_raises_a_helper_threads_error_and_restores_blas(self, monkeypatch):
+        """Every window is one sample short; the calling thread forwards a good
+        window once a helper's forward has raised, so the error is the helper's."""
+        blas = tr.blas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS exports no thread count setter: no helper thread runs")
+        get, put = blas
+        params = vit.init_params(TINY, seed=0)
+        forward, good = vit.forward, np.zeros((1, TINY.seq_len))
+        raised_in_helper, helper_raised = [], threading.Event()
+
+        def recorded(x, *args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_raised.wait(timeout=30)
+                return forward(good, *args, **kwargs)
+            try:
+                return forward(x, *args, **kwargs)
+            except ValueError as e:
+                raised_in_helper.append(e)
+                helper_raised.set()
+                raise
+
+        monkeypatch.setattr(tr, "_cores", lambda: 2)
+        monkeypatch.setattr(vit, "forward", recorded)
+        threads, previous = threading.active_count(), get()
+        put(3)
+        try:
+            with pytest.raises(ValueError, match="window length 39 != seq_len 40") as info:
+                tr.predict_logits(params, TINY, np.zeros((6, TINY.seq_len - 1)))
+            assert get() == 3
+        finally:
+            put(previous)
+        assert info.value is raised_in_helper[0]
+        assert threading.active_count() == threads
 
     def test_train_peak_memory_does_not_grow_with_batch_size(self):
         """One epoch over 32 windows, whose activations (attention maps of 101
