@@ -1,17 +1,20 @@
 """Dense float64 tensors with a define-by-run reverse-mode autodiff tape.
 
-Ops record onto a global tape only inside a `with recording():` block;
-outside one they just compute. The tape is in execution order, which is
-already a topological order. backward() pops it in reverse, accumulating
-gradients into each node's inputs and then dropping the node's closure, so
-a node's activations and gradient are freed as soon as its inputs hold
-their gradients. Leaving the block drops whatever is still taped, also
-when the block raised, so no forward pass can leave nodes behind.
+Ops record onto the calling thread's tape only inside a `with recording():`
+block in that thread; outside one they just compute. Each thread has its own
+tape and its own on/off flag, so threads can record and run backward at the
+same time. The tape is in execution order, which is already a topological
+order. backward() pops it in reverse, accumulating gradients into each
+node's inputs and then dropping the node's closure, so a node's activations
+and gradient are freed as soon as its inputs hold their gradients. Leaving
+the block drops whatever is still taped, also when the block raised, so no
+forward pass can leave nodes behind.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable
 
 import numpy as np
@@ -23,8 +26,25 @@ __all__ = [
     "index", "softmax", "layer_norm", "attention", "gelu", "cross_entropy", "AdamW",
 ]
 
-_TAPE: list["Tensor"] = []
-_GRAD_ENABLED = False  # True inside recording()
+
+class _ThreadState(threading.local):
+    """One thread's tape, and whether that thread is inside recording()."""
+
+    def __init__(self):
+        self.tape: list[Tensor] = []
+        self.grad_enabled = False
+
+
+_STATE = _ThreadState()
+
+
+def __getattr__(name: str):
+    # the calling thread's tape and flag, read by name by perfbench's stage runner and tracer
+    if name == "_TAPE":
+        return _STATE.tape
+    if name == "_GRAD_ENABLED":
+        return _STATE.grad_enabled
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Tensor:
@@ -55,25 +75,25 @@ class Tensor:
 
 @contextlib.contextmanager
 def recording():
-    """Tape the ops run in the block; on exit, also on error, drop what is left."""
-    global _GRAD_ENABLED
-    if _GRAD_ENABLED:
+    """Tape the ops this thread runs in the block; on exit, also on error, drop
+    what is left on this thread's tape."""
+    if _STATE.grad_enabled:
         raise RuntimeError("recording() blocks do not nest")
-    _GRAD_ENABLED = True
+    _STATE.grad_enabled = True
     try:
         yield
     finally:
-        _GRAD_ENABLED = False
-        for node in _TAPE:
+        _STATE.grad_enabled = False
+        for node in _STATE.tape:
             node._backward = None
-        _TAPE.clear()
+        _STATE.tape.clear()
 
 
 def _record(out: Tensor, inputs: Iterable[Tensor], backward_fn) -> Tensor:
-    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
+    if _STATE.grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._backward = backward_fn
-        _TAPE.append(out)
+        _STATE.tape.append(out)
     return out
 
 
@@ -88,14 +108,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-accumulate gradients of a scalar loss recorded in the current
-    recording() block.
+    """Reverse-accumulate gradients of a scalar loss recorded in this thread's
+    current recording() block.
 
     Each node leaves the tape when its closure has run, so intermediate
     activations and gradients are freed during the walk. Gradients stay on
     the tensors the caller still holds.
     """
-    if not (_GRAD_ENABLED and loss.requires_grad):
+    if not (_STATE.grad_enabled and loss.requires_grad):
         raise ValueError("backward needs a loss built inside the current "
                          "`with recording():` block")
     if loss.size != 1:
@@ -103,8 +123,9 @@ def backward(loss: Tensor) -> None:
     if not np.all(np.isfinite(loss.data)):
         raise FloatingPointError("loss is not finite")
     loss.accumulate(np.ones_like(loss.data))
-    while _TAPE:
-        node = _TAPE.pop()
+    tape = _STATE.tape
+    while tape:
+        node = tape.pop()
         if node.grad is not None:
             node._backward(node.grad)
         node._backward = None

@@ -19,9 +19,10 @@ from .data_io import Task
 
 logger = logging.getLogger(__name__)
 
-# the most windows in a forward at once: a training step of batch_size windows runs
-# forward, loss and backward over chunks of this many, and inference runs one
-# window per forward on at most this many threads
+# the most windows in flight at once, across threads: a training step of more than
+# this many windows runs forward, loss and backward over chunks of half this many
+# on two threads, and inference runs one window per forward on at most this many
+# threads
 FORWARD_CHUNK = 4
 
 
@@ -165,26 +166,20 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def forward_each(params, config, x: np.ndarray,
-                 capture_attention: bool = False) -> list[vit.ForwardArtifacts]:
-    """Inference forwards of windows x, one window per `vit.forward` call, so a
-    window's logits and maps depend neither on its neighbours nor on the core
-    or BLAS thread count.
-
-    The windows go out in order to min(cores, FORWARD_CHUNK) workers: the
-    calling thread and helper threads. Meanwhile numpy's OpenBLAS runs one
-    thread; inference tapes nothing and NumPy releases the GIL, so the workers
+def _run_each(n: int, most: int, run: Callable[[int], None]) -> None:
+    """run(i) for each i in range(n), the indices handed out in order to
+    min(cores, most) workers: the calling thread and helper threads. Meanwhile
+    numpy's OpenBLAS runs one thread; NumPy releases the GIL, so the workers
     run in parallel. Without a BLAS thread setter, the calling thread alone
-    runs, at the BLAS thread count it finds. The first failed window's error
-    is raised once every helper has ended and the thread count is restored.
-    """
+    runs, at the BLAS thread count it finds. After a failure no index is
+    handed out; the first failed index's error is raised once every helper
+    has ended and the thread count is restored."""
     blas = blas_threads()
-    workers = min(_cores(), FORWARD_CHUNK, len(x)) if blas else 1
-    out: list[vit.ForwardArtifacts | None] = [None] * len(x)
+    workers = min(_cores(), most, n) if blas else 1
     failed: list[tuple[int, Exception]] = []
     stop = threading.Event()
     lock = threading.Lock()
-    todo = iter(range(len(x)))
+    todo = iter(range(n))
 
     def work():
         while not stop.is_set():
@@ -193,8 +188,7 @@ def forward_each(params, config, x: np.ndarray,
             if i is None:
                 return
             try:
-                out[i] = vit.forward(x[i:i + 1], params, config,
-                                     capture_attention=capture_attention)
+                run(i)
             except Exception as e:  # raised again in the calling thread
                 failed.append((i, e))
                 stop.set()
@@ -217,6 +211,20 @@ def forward_each(params, config, x: np.ndarray,
             blas[1](before)
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
+
+
+def forward_each(params, config, x: np.ndarray,
+                 capture_attention: bool = False) -> list[vit.ForwardArtifacts]:
+    """Inference forwards of windows x, one window per `vit.forward` call on
+    min(cores, FORWARD_CHUNK) workers (`_run_each`), so a window's logits and
+    maps depend neither on its neighbours nor on the core or BLAS thread count.
+    Inference tapes nothing."""
+    out: list[vit.ForwardArtifacts | None] = [None] * len(x)
+
+    def run(i):
+        out[i] = vit.forward(x[i:i + 1], params, config, capture_attention=capture_attention)
+
+    _run_each(len(x), FORWARD_CHUNK, run)
     return out
 
 
@@ -234,19 +242,51 @@ def train_step(params: dict[str, Tensor], config: vit.VitConfig, x: np.ndarray,
                y: np.ndarray, rng: np.random.Generator) -> tuple[float, int]:
     """Accumulate onto the parameters' grads the gradient of the mean training
     loss of windows x with labels y, and return that loss and the number of
-    windows classified right. One `draw_keep` serves the whole step; forward,
-    loss and backward run FORWARD_CHUNK windows at a time, each chunk's mean
-    loss scaled by its share of the windows, so the tape holds one chunk."""
+    windows classified right. One `draw_keep` serves the whole step.
+
+    A step of at most FORWARD_CHUNK windows is one chunk; a larger one runs in
+    chunks of FORWARD_CHUNK // 2 windows, handed out in order to min(cores, 2)
+    workers (`_run_each`), so at most FORWARD_CHUNK windows are in flight. A
+    worker runs a chunk's forward, loss (its mean scaled by the chunk's share
+    of the windows) and backward on its own thread's tape, against copies of
+    the parameters that share their weights and hold only that chunk's
+    gradients. Those gradients and the loss are added on strictly in chunk
+    order, so the sums depend neither on the core nor on the BLAS thread count.
+    """
     keep = vit.draw_keep(config, rng)
-    loss, correct = 0.0, 0
-    for lo in range(0, len(x), FORWARD_CHUNK):
-        xs, ys = x[lo:lo + FORWARD_CHUNK], y[lo:lo + FORWARD_CHUNK]
-        with ad.recording():
-            logits = vit.forward(xs, params, config, training=True, keep=keep).logits
-            part = ad.scale(cross_entropy(logits, ys), len(xs) / len(x))
-            ad.backward(part)
-        loss += float(part.data)
-        correct += int(np.sum(np.argmax(logits.data, axis=1) == ys))
+    size = len(x) if len(x) <= FORWARD_CHUNK else FORWARD_CHUNK // 2
+    n_chunks = -(-len(x) // size)
+    loss, correct, added = 0.0, 0, 0
+    turn = threading.Condition()
+
+    def run(c):
+        nonlocal loss, correct, added
+        xs, ys = x[c * size:(c + 1) * size], y[c * size:(c + 1) * size]
+        own = {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
+        done = False
+        try:
+            with ad.recording():
+                logits = vit.forward(xs, own, config, training=True, keep=keep).logits
+                part = ad.scale(cross_entropy(logits, ys), len(xs) / len(x))
+                ad.backward(part)
+            done = True
+        finally:
+            # chunk c's turn comes once every earlier chunk is added or has failed
+            with turn:
+                turn.wait_for(lambda: added == c)
+                if done:
+                    for name, p in params.items():
+                        g = own[name].grad
+                        if p.grad is None:
+                            p.grad = g  # this chunk's alone: no other tensor holds it
+                        elif g is not None:
+                            p.grad += g
+                    loss += float(part.data)
+                    correct += int(np.sum(np.argmax(logits.data, axis=1) == ys))
+                added += 1
+                turn.notify_all()
+
+    _run_each(n_chunks, FORWARD_CHUNK // size, run)
     return loss, correct
 
 

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -464,6 +465,79 @@ class TestBackwardSemantics:
                     pass
             assert ad._GRAD_ENABLED
         assert not ad._GRAD_ENABLED
+
+
+class TestTapePerThread:
+    """Each thread has its own tape and recording flag, read as ad._TAPE and
+    ad._GRAD_ENABLED from that thread."""
+
+    def test_two_threads_record_at_once_on_their_own_tapes(self):
+        together = threading.Barrier(2, timeout=30)
+        seen, errors = {}, []
+
+        def record(name, n_ops):
+            x = Tensor(np.ones(3), requires_grad=True)
+            with ad.recording():
+                y = x
+                for _ in range(n_ops):
+                    y = ad.scale(y, 2.0)
+                together.wait()  # both threads are inside recording(), their ops taped
+                seen[name] = len(ad._TAPE)
+                together.wait()  # both have counted before either runs backward
+                ad.backward(project(y))
+                seen[name, "after backward"] = len(ad._TAPE)
+            seen[name, "grad"] = x.grad
+            seen[name, "left"] = (len(ad._TAPE), ad._GRAD_ENABLED)
+
+        def helper():
+            try:
+                record("helper", 3)
+            except BaseException as e:  # reported by the calling thread
+                errors.append(e)
+                together.abort()
+
+        thread = threading.Thread(target=helper)
+        thread.start()
+        try:
+            record("main", 1)
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert errors == []
+        assert (seen["main"], seen["helper"]) == (1, 3)
+        for name, factor in (("main", 2.0), ("helper", 8.0)):
+            assert seen[name, "after backward"] == 0
+            assert np.array_equal(seen[name, "grad"], np.full(3, factor))
+            assert seen[name, "left"] == (0, False)
+        assert ad._TAPE == []
+        assert not hasattr(ad, "_TAPES")
+
+    def test_recording_does_not_nest_while_another_thread_records(self):
+        inside, release, seen = threading.Event(), threading.Event(), []
+
+        def other():
+            with ad.recording():
+                ad.scale(Tensor(np.ones(3), requires_grad=True), 2.0)
+                inside.set()
+                release.wait(timeout=30)
+                seen.append((len(ad._TAPE), ad._GRAD_ENABLED))
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        try:
+            assert inside.wait(timeout=30)
+            assert ad._TAPE == [] and not ad._GRAD_ENABLED
+            with ad.recording():
+                with pytest.raises(RuntimeError, match="nest"):
+                    with ad.recording():
+                        pass
+                assert ad._GRAD_ENABLED
+            assert not ad._GRAD_ENABLED
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert seen == [(1, True)]
 
 
 class TestAdamW:

@@ -1,5 +1,5 @@
-"""`evaluate` and `explain` write the same bytes whatever the BLAS thread count
-and however many inference workers run, at a width where OpenBLAS threads."""
+"""`train`, `evaluate` and `explain` write the same bytes whatever the BLAS
+thread count and however many workers run, at a width where OpenBLAS threads."""
 
 import ctypes
 import hashlib
@@ -70,3 +70,30 @@ def test_outputs_do_not_depend_on_the_number_of_workers(trained, monkeypatch):
     one = outputs(trained)
     monkeypatch.setattr(training, "_cores", lambda: training.FORWARD_CHUNK)
     assert outputs(trained) == one
+
+
+def test_train_writes_the_same_bytes_at_any_thread_and_worker_count(tmp_path, monkeypatch):
+    """A step of 8 windows runs four chunks of 2, on one worker or two. At 100
+    patches a window (50 are too few), OpenBLAS sums a training step's GEMMs in
+    another order at 2 threads than at 1."""
+    args = [*ARGS, "--set", "patch_size=10"]
+    blas = openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread count setter")
+    get, put = blas
+    for command in ("synth", "preprocess"):
+        assert cli.main([command, "--workdir", str(tmp_path), *args]) == 0
+
+    def train(threads, cores):
+        monkeypatch.setattr(training, "_cores", lambda: cores)
+        put(threads)
+        assert cli.main(["train", "--workdir", str(tmp_path), *args]) == 0
+        return [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("model.ckpt", "train_report.json")]
+
+    previous = get()
+    try:
+        runs = {(threads, cores): train(threads, cores) for threads in (1, 2) for cores in (1, 2)}
+    finally:
+        put(previous)
+    assert len(set(map(tuple, runs.values()))) == 1, runs

@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -349,6 +350,107 @@ class TestTrainLoop:
         assert info.value is raised_in_helper[0]
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("batch", [5, 11])
+    def test_train_step_is_bit_identical_on_one_worker_two_workers_and_serially(
+            self, monkeypatch, batch):
+        """Each even chunk's forward first sleeps, so with two workers each odd
+        chunk finishes first and must wait its turn to be added; thread switches
+        are made more frequent, so that a lost update of the sums would show."""
+        config = vit.VitConfig(seq_len=40, patch_size=10, hidden_dim=8, n_layers=2,
+                               n_heads=2, mlp_dim=16, n_classes=3, survival_prob=0.7)
+        data = np.random.default_rng(batch)
+        x = data.normal(size=(batch, config.seq_len))
+        y = data.integers(0, config.n_classes, size=batch)
+        forward, lock, inside, most, calls = vit.forward, threading.Lock(), [0], [0], []
+
+        def recorded(xs, *args, **kwargs):
+            first = int(np.flatnonzero((x == xs[0]).all(axis=1))[0])
+            with lock:
+                calls.append((threading.current_thread().name, first, len(xs)))
+                inside[0] += len(xs)
+                most[0] = max(most[0], inside[0])
+            try:
+                if first // 2 % 2 == 0:
+                    time.sleep(0.02)
+                return forward(xs, *args, **kwargs)
+            finally:
+                with lock:
+                    inside[0] -= len(xs)
+
+        def run(step, cores):
+            monkeypatch.setattr(tr, "_cores", lambda: cores)
+            params = vit.init_params(config, seed=batch)
+            rng = np.random.default_rng(3)
+            loss, correct = step(params, config, x, y, rng)
+            return loss, correct, {name: p.grad for name, p in params.items()}, rng.random()
+
+        want_loss, want_correct, want, want_next = run(_chunks_in_order_step, 1)
+        assert any(grad is None for grad in want.values())  # a branch was dropped
+        monkeypatch.setattr(vit, "forward", recorded)
+        for cores in (1, 2):
+            calls.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                loss, correct, got, next_draw = run(tr.train_step, cores)
+            finally:
+                sys.setswitchinterval(interval)
+            assert (loss, correct, next_draw) == (want_loss, want_correct, want_next), cores
+            for name, grad in want.items():
+                assert (got[name] is None) == (grad is None), (cores, name)
+                assert grad is None or np.array_equal(got[name], grad), (cores, name)
+            assert sorted((first, n) for _, first, n in calls) == \
+                [(lo, min(2, batch - lo)) for lo in range(0, batch, 2)]
+            threads = {name for name, _, _ in calls}
+            assert len(threads) == (1 if cores == 1 or tr.blas_threads() is None else 2)
+        assert most[0] <= tr.FORWARD_CHUNK
+
+    def test_a_chunk_failing_on_a_helper_thread_names_its_epoch_and_batch(self, monkeypatch):
+        """The calling thread's first chunk waits until a helper thread has run
+        the forward of its own, whose windows are NaN, so the helper's backward
+        raises."""
+        blas = tr.blas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS exports no thread count setter: no helper thread runs")
+        get, put = blas
+        x, y = separable_dataset(n_per_class=6)
+        plan = tr.SplitPlan(train=list(range(10)), val=[10, 11], test=[],
+                            split_mode="by_participant")
+        hp = tr.TrainHParams(batch_size=8, max_epochs=1)
+        forward, backward = vit.forward, ad.backward
+        helper_forwarded, raised = threading.Event(), []
+
+        def recorded_forward(x, *args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_forwarded.wait(timeout=30)
+                return forward(x, *args, **kwargs)
+            helper_forwarded.set()
+            return forward(np.full_like(x, np.nan), *args, **kwargs)
+
+        def recorded_backward(loss):
+            try:
+                return backward(loss)
+            except FloatingPointError as e:
+                raised.append((threading.current_thread() is threading.main_thread(), e))
+                raise
+
+        monkeypatch.setattr(tr, "_cores", lambda: 2)
+        monkeypatch.setattr(vit, "forward", recorded_forward)
+        monkeypatch.setattr(ad, "backward", recorded_backward)
+        threads, previous = threading.active_count(), get()
+        put(3)
+        try:
+            with pytest.raises(FloatingPointError,
+                               match="loss is not finite at epoch 0, batch 0$") as info:
+                tr.train(x, y, plan, TINY, hp, seed=0)
+            assert get() == 3
+        finally:
+            put(previous)
+        assert [in_main for in_main, _ in raised] == [False]
+        assert info.value.__cause__ is raised[0][1]
+        assert threading.active_count() == threads
+        assert not ad._TAPE
+
     def test_train_peak_memory_does_not_grow_with_batch_size(self):
         """One epoch over 32 windows, whose activations (attention maps of 101
         tokens) outweigh the parameters: a step of 32 windows tapes no more at
@@ -456,6 +558,29 @@ def _whole_batch_step(params, config, x, y, rng):
         loss = tr.cross_entropy(logits, y)
         ad.backward(loss)
     return float(loss.data), int(np.sum(np.argmax(logits.data, axis=1) == y))
+
+
+def _chunks_in_order_step(params, config, x, y, rng):
+    """train_step's sums spelled out on one thread: windows in chunks of
+    FORWARD_CHUNK // 2, each chunk's gradients taken on copies of the
+    parameters, then added onto theirs in chunk order."""
+    keep = vit.draw_keep(config, rng)
+    size = tr.FORWARD_CHUNK // 2
+    loss, correct = 0.0, 0
+    for lo in range(0, len(x), size):
+        xs, ys = x[lo:lo + size], y[lo:lo + size]
+        own = {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
+        with ad.recording():
+            logits = vit.forward(xs, own, config, training=True, keep=keep).logits
+            part = ad.scale(tr.cross_entropy(logits, ys), len(xs) / len(x))
+            ad.backward(part)
+        for name, p in params.items():
+            grad = own[name].grad
+            if grad is not None:
+                p.grad = grad if p.grad is None else p.grad + grad
+        loss += float(part.data)
+        correct += int(np.sum(np.argmax(logits.data, axis=1) == ys))
+    return loss, correct
 
 
 @settings(deadline=None)
