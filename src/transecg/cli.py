@@ -8,8 +8,15 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
+import contextlib
+import logging
+import os
 import sys
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields, replace
+from functools import partial
+from logging.handlers import BufferingHandler
 from pathlib import Path
 
 import numpy as np
@@ -157,12 +164,58 @@ def cmd_synth(cfg: RunConfig) -> str:
     return f"synth: wrote {len(records)} subjects to {manifest_path}"
 
 
+def _preprocess_one(cfg: RunConfig, manifest_path: Path, i: int,
+                    entry: data_io.ManifestEntry) -> tuple[np.ndarray, list[logging.LogRecord]]:
+    """Record i's windows, and the log records made while making them. The
+    records are held back from the `transecg` loggers' handlers, and the caller
+    hands them on, so that a worker process's warnings reach the parent."""
+    try:
+        spec = signal_core.FilterSpec(cfg.low_hz, cfg.high_hz, cfg.filter_order, entry.fs)
+    except ValueError as e:
+        raise ValueError(f"{manifest_path}: record {i} field 'fs': {e}") from None
+    log = logging.getLogger("transecg")
+    held = BufferingHandler(sys.maxsize)  # never full, so never flushed
+    handlers, propagate = log.handlers, log.propagate
+    log.handlers, log.propagate = [held], False
+    try:
+        rows = signal_core.preprocess_record(
+            data_io.load_record(entry), spec, cfg.fs_target, cfg.median_kernel,
+            cfg.seq_len, f"{entry.subject_id} ({entry.csv_path})")
+    finally:
+        log.handlers, log.propagate = handlers, propagate
+    return rows, held.buffer
+
+
+def _each_record(run: Callable, entries: list[data_io.ManifestEntry]) -> Iterator:
+    """run(i, entry) for each record, yielded in record order. The records go to
+    min(usable cores, records) forked worker processes; with fewer than two, or
+    without fork, run is called here. A worker's error is raised for its record,
+    after every earlier record's result; on close, no record is started and
+    every worker has ended."""
+    workers = min(training._cores(), len(entries))
+    if workers < 2 or not hasattr(os, "fork"):
+        yield from map(run, range(len(entries)), entries)
+        return
+    # imported here, so that only a run that starts workers loads the pool's
+    # modules (about 15 ms of start-up)
+    import multiprocessing
+
+    pool = concurrent.futures.ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield from pool.map(run, range(len(entries)), entries)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_preprocess(cfg: RunConfig) -> str:
     """Filter, resample, window and normalize every record into the window store.
 
-    Each record's windows are appended to windows.bin.part as they are made; the
-    part file replaces windows.bin only when every record was read and at least
-    one window made, so a failed run leaves the previous store as it was."""
+    Records are preprocessed on every usable core; each record's windows are
+    appended to windows.bin.part in record order, so the store is the same at
+    any core count. The part file replaces windows.bin only when every record
+    was read and at least one window made, so a failed run leaves the previous
+    store as it was."""
     workdir = Path(cfg.workdir)
     manifest_path = Path(cfg.manifest) if cfg.manifest else workdir / "data" / "manifest.json"
     entries = data_io.load_manifest(manifest_path)
@@ -171,16 +224,19 @@ def cmd_preprocess(cfg: RunConfig) -> str:
     index = []
     excluded = 0
     try:
-        with open(part, "wb") as f:
+        with (open(part, "wb") as f,
+              contextlib.closing(_each_record(partial(_preprocess_one, cfg, manifest_path),
+                                              entries)) as results):
             for i, entry in enumerate(entries):
                 try:
-                    spec = signal_core.FilterSpec(cfg.low_hz, cfg.high_hz, cfg.filter_order,
-                                                  entry.fs)
-                except ValueError as e:
-                    raise ValueError(f"{manifest_path}: record {i} field 'fs': {e}") from None
-                rows = signal_core.preprocess_record(
-                    data_io.load_record(entry), spec, cfg.fs_target, cfg.median_kernel,
-                    cfg.seq_len, f"{entry.subject_id} ({entry.csv_path})")
+                    rows, logs = next(results)
+                except concurrent.futures.BrokenExecutor:
+                    # an OSError, which main reports as one error line
+                    raise ChildProcessError(
+                        f"{manifest_path}: record {i} ({entry.csv_path}) was not preprocessed: "
+                        f"a worker process ended abruptly") from None
+                for record in logs:
+                    logging.getLogger(record.name).handle(record)
                 f.write(rows.astype("<f8", copy=False).tobytes())
                 excluded += not len(rows)
                 index += [{

@@ -1,8 +1,13 @@
 import dataclasses
+import hashlib
 import json
+import logging
+import multiprocessing
+import os
 import re
 import shutil
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -813,3 +818,98 @@ class TestErrors:
         shutil.copy(pipeline / "windows.bin", tmp_path / "windows.bin")
         assert run("train", tmp_path) == 1
         assert "windows.json" in capsys.readouterr().err
+
+
+def mixed_manifest(tmp_path, bad=()):
+    """A manifest of 250 and 500 Hz records, two of which preprocessing excludes
+    (S2 too short to filter, S4 too short for one 1000-sample window); the
+    records named in `bad` hold a non-numeric sample at line 3 instead."""
+    rates = {"S1": (250.0, 16.0), "S2": (250.0, None), "S3": (500.0, 12.0),
+             "S4": (500.0, 2.0), "S5": (250.0, 8.0), "S6": (500.0, 8.0)}
+    rows = []
+    for sid, (fs, duration) in rates.items():
+        csv = tmp_path / f"{sid}.csv"
+        if sid in bad:
+            csv.write_text("amplitude\n0.5\nbogus\n")
+        elif duration is None:
+            csv.write_text("amplitude\n0.0\n1.0\n0.5\n")
+        else:
+            record, _ = data_io.synthesize(data_io.SyntheticEcgSpec(duration_s=duration, fs=fs))
+            data_io.save_record_csv(csv, record.samples)
+        rows.append({"subject_id": sid, "csv": csv.name, "fs": fs,
+                     "gender": "male", "age_years": 40})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"records": rows}))
+    return manifest
+
+
+class TestPreprocessWorkers:
+    """preprocess sends records to min(cores, records) forked worker processes;
+    at one core it runs them inline. Outputs, logs and errors are the same."""
+
+    def preprocess(self, monkeypatch, workdir, manifest, cores):
+        monkeypatch.setattr(training, "_cores", lambda: cores)
+        threads = threading.active_count()
+        code = run("preprocess", workdir, extra=["--set", f"manifest={manifest}"])
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        return code
+
+    def test_preprocess_store_same_at_one_and_two_workers(self, tmp_path, monkeypatch):
+        manifest = mixed_manifest(tmp_path)
+        digests = []
+        for cores in (1, 2):
+            work = tmp_path / f"cores{cores}"
+            assert self.preprocess(monkeypatch, work, manifest, cores) == 0
+            digests.append({name: hashlib.sha256((work / name).read_bytes()).hexdigest()
+                            for name in (cli.STORE_BIN, cli.STORE_INDEX)})
+        assert digests[0] == digests[1]
+        index = json.loads((tmp_path / "cores2" / cli.STORE_INDEX).read_text())
+        assert [row["subject_id"] for row in index["windows"]] == (
+            ["S1"] * 4 + ["S3"] * 3 + ["S5"] * 2 + ["S6"] * 2)
+
+    def test_preprocess_workers_log_in_record_order(self, tmp_path, monkeypatch, caplog):
+        manifest = mixed_manifest(tmp_path)
+        logged = {}
+        for cores in (1, 2):
+            caplog.clear()
+            assert self.preprocess(monkeypatch, tmp_path / f"cores{cores}", manifest, cores) == 0
+            records = [r for r in caplog.records if r.name.startswith("transecg")]
+            logged[cores] = [(r.name, r.levelno, r.getMessage()) for r in records]
+            # at two cores the records were made in worker processes
+            assert ({r.process for r in records} == {os.getpid()}) == (cores == 1)
+        assert logged[1] == logged[2]
+        assert [(name, message.split(" excluded")[0]) for name, _, message in logged[2]] == [
+            ("transecg.signal_core", f"record S2 ({tmp_path / 'S2.csv'})"),
+            ("transecg.signal_core", f"record S4 ({tmp_path / 'S4.csv'})"),
+        ]
+
+    def test_failed_preprocess_at_two_workers_raises_first_bad_record(
+            self, tmp_path, monkeypatch, capsys):
+        manifest = mixed_manifest(tmp_path)
+        assert self.preprocess(monkeypatch, tmp_path, manifest, 2) == 0
+        store = {name: (tmp_path / name).read_bytes() for name in ("windows.bin", "windows.json")}
+        manifest = mixed_manifest(tmp_path, bad=("S3", "S5"))
+        assert self.preprocess(monkeypatch, tmp_path, manifest, 2) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'S3.csv'}: non-numeric sample 'bogus' at line 3\n"
+        assert not (tmp_path / "windows.bin.part").exists()
+        assert {name: (tmp_path / name).read_bytes() for name in store} == store
+
+    def test_preprocess_worker_that_dies_exits_naming_manifest_and_record(
+            self, tmp_path, monkeypatch, capsys):
+        manifest = mixed_manifest(tmp_path)
+        parent, load = os.getpid(), data_io.load_record
+
+        def load_or_die(entry):
+            if os.getpid() != parent and entry.subject_id == "S1":
+                os._exit(3)
+            return load(entry)
+
+        monkeypatch.setattr(data_io, "load_record", load_or_die)
+        assert self.preprocess(monkeypatch, tmp_path, manifest, 2) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{manifest}: record 0 ({tmp_path / 'S1.csv'})" in err
+        assert "Traceback" not in err and "BrokenProcessPool" not in err
+        assert not list(tmp_path.glob("windows.*"))
