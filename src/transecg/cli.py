@@ -29,6 +29,10 @@ STORE_INDEX = "windows.json"
 # what the checkpoint records of the run, so that evaluate and explain rebuild its split
 SPLIT_FIELDS = ("seed", "task", "train_frac", "val_frac", "test_frac")
 MAX_SYNTH_SAMPLES = 21_600_000  # 24 h at the default 250 Hz
+# preprocess starts worker processes only for manifests whose CSVs hold at least
+# this many bytes: starting them costs about 20 ms, which two workers win back
+# from about 2-4 MB of CSV on (a 2-core x86 box)
+WORKERS_MIN_CSV_BYTES = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -186,14 +190,24 @@ def _preprocess_one(cfg: RunConfig, manifest_path: Path, i: int,
     return rows, held.buffer
 
 
+def _csv_bytes(entries: list[data_io.ManifestEntry]) -> int:
+    """The size of the records' CSVs; one that cannot be read counts 0, and
+    loading it reports why."""
+    total = 0
+    for entry in entries:
+        with contextlib.suppress(OSError):
+            total += os.stat(entry.csv_path).st_size
+    return total
+
+
 def _each_record(run: Callable, entries: list[data_io.ManifestEntry]) -> Iterator:
     """run(i, entry) for each record, yielded in record order. The records go to
-    min(usable cores, records) forked worker processes; with fewer than two, or
-    without fork, run is called here. A worker's error is raised for its record,
-    after every earlier record's result; on close, no record is started and
-    every worker has ended."""
+    min(usable cores, records) forked worker processes; with fewer than two,
+    without fork, or with CSVs of fewer than WORKERS_MIN_CSV_BYTES in all, run is
+    called here. A worker's error is raised for its record, after every earlier
+    record's result; on close, no record is started and every worker has ended."""
     workers = min(training._cores(), len(entries))
-    if workers < 2 or not hasattr(os, "fork"):
+    if workers < 2 or not hasattr(os, "fork") or _csv_bytes(entries) < WORKERS_MIN_CSV_BYTES:
         yield from map(run, range(len(entries)), entries)
         return
     # imported here, so that only a run that starts workers loads the pool's
@@ -211,7 +225,8 @@ def _each_record(run: Callable, entries: list[data_io.ManifestEntry]) -> Iterato
 def cmd_preprocess(cfg: RunConfig) -> str:
     """Filter, resample, window and normalize every record into the window store.
 
-    Records are preprocessed on every usable core; each record's windows are
+    Records are preprocessed on every usable core once their CSVs are large
+    enough to repay starting worker processes; each record's windows are
     appended to windows.bin.part in record order, so the store is the same at
     any core count. The part file replaces windows.bin only when every record
     was read and at least one window made, so a failed run leaves the previous

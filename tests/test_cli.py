@@ -845,10 +845,13 @@ def mixed_manifest(tmp_path, bad=()):
 
 class TestPreprocessWorkers:
     """preprocess sends records to min(cores, records) forked worker processes;
-    at one core it runs them inline. Outputs, logs and errors are the same."""
+    at one core, or for small CSVs, it runs them inline. Outputs, logs and
+    errors are the same. These manifests are small, so the tests lower the
+    size from which workers start, unless they say otherwise."""
 
-    def preprocess(self, monkeypatch, workdir, manifest, cores):
+    def preprocess(self, monkeypatch, workdir, manifest, cores, min_bytes=0):
         monkeypatch.setattr(training, "_cores", lambda: cores)
+        monkeypatch.setattr(cli, "WORKERS_MIN_CSV_BYTES", min_bytes)
         threads = threading.active_count()
         code = run("preprocess", workdir, extra=["--set", f"manifest={manifest}"])
         assert multiprocessing.active_children() == []
@@ -883,6 +886,16 @@ class TestPreprocessWorkers:
             ("transecg.signal_core", f"record S2 ({tmp_path / 'S2.csv'})"),
             ("transecg.signal_core", f"record S4 ({tmp_path / 'S4.csv'})"),
         ]
+
+    def test_preprocess_of_small_csvs_starts_no_worker(self, tmp_path, monkeypatch, caplog):
+        manifest = mixed_manifest(tmp_path)
+        size = sum(p.stat().st_size for p in tmp_path.glob("*.csv"))
+        for min_bytes, inline in ((size + 1, True), (size, False)):
+            caplog.clear()
+            assert self.preprocess(monkeypatch, tmp_path, manifest, 2, min_bytes) == 0
+            records = [r for r in caplog.records if r.name.startswith("transecg")]
+            assert len(records) == 2
+            assert ({r.process for r in records} == {os.getpid()}) == inline
 
     def test_failed_preprocess_at_two_workers_raises_first_bad_record(
             self, tmp_path, monkeypatch, capsys):
