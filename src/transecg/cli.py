@@ -375,24 +375,39 @@ def cmd_train(cfg: RunConfig) -> str:
 
 
 def cmd_evaluate(cfg: RunConfig) -> str:
+    """Score the test windows into metrics.json. The same forwards capture each
+    window's final-block attention row; the rows go to test_attention.bin for explain."""
     params, config, x, y, plan = _load_model_and_store(cfg)
-    probs = training.predict_probs(params, config, x[plan.test])
-    metrics = training.evaluate_probs(probs, y[plan.test], task=Task(cfg.task))
-    out = Path(cfg.workdir) / "metrics.json"
-    data_io.write_json(out, metrics)
-    return f"evaluate: test accuracy {metrics['accuracy']:.3f} -> {out}"
+    test = x[plan.test]
+    captured = training.forward_each(params, config, test, capture_attention=True)
+    metrics = training.evaluate_probs(training.probs_of(captured), y[plan.test],
+                                      task=Task(cfg.task))
+    workdir = Path(cfg.workdir)
+    data_io.write_json(workdir / "metrics.json", metrics)
+    explain.save_attention(workdir / explain.ATTENTION_FILE, captured, _checkpoint(cfg), test)
+    return f"evaluate: test accuracy {metrics['accuracy']:.3f} -> {workdir / 'metrics.json'}"
 
 
 def cmd_explain(cfg: RunConfig) -> str:
+    """Attribute the first explain_windows test windows. Their attention rows come
+    from the test_attention.bin that evaluate wrote for this checkpoint and these
+    windows, or else from forwards run here."""
     params, config, x, _, plan = _load_model_and_store(cfg)
+    test = x[plan.test]
+    windows = test[:cfg.explain_windows]
+    saved = Path(cfg.workdir) / explain.ATTENTION_FILE
+    rows = explain.load_attention(saved, _checkpoint(cfg), test, config)
+    if rows is None:
+        source = f"{len(windows)} forwards"
+        rows = [explain.extract_importance(art)[0] for art in
+                training.forward_each(params, config, windows, capture_attention=True)]
+    else:
+        source = str(saved)
 
     percentages = []
     first = None
     errors = []
-    windows = x[plan.test[:cfg.explain_windows]]
-    captured = training.forward_each(params, config, windows, capture_attention=True)
-    for window, art in zip(windows, captured):
-        per_head = explain.extract_importance(art)[0]
+    for window, per_head in zip(windows, rows):
         try:
             peaks = delineation.pan_tompkins(window, cfg.fs_target)
             fids = delineation.delineate(window, peaks, cfg.fs_target)
@@ -411,7 +426,7 @@ def cmd_explain(cfg: RunConfig) -> str:
                                explain.head_weights(params, config).tolist())
     paths = explain.emit_report(report, *first, Path(cfg.workdir) / "explain")
     return (f"explain: attributed {len(percentages)} windows ({len(errors)} skipped), "
-            f"report {paths['json']}")
+            f"attention from {source}, report {paths['json']}")
 
 
 # ---------------------------------------------------------------------------

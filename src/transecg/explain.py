@@ -6,16 +6,27 @@ disjoint base partition of its beats, so they sum to 100. `aggregate` takes
 the mean over windows and derives, once, the overlapping clinical composites
 (P-R, S-T, Q-T) as sums of their constituents and the top-3 feature table;
 what it returns is the `attribution.json` document.
+
+`save_attention` and `load_attention` own `test_attention.bin`: the test
+windows' class-token attention rows, which `evaluate` computes anyway and
+`explain` reads instead of running its own forwards.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import logging
+import math
+import os
+import reprlib
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
-from .data_io import write_json
+from .data_io import json_value, write_json
 from .delineation import BASE_INTERVALS, IntervalMap
 from .vit import ForwardArtifacts, VitConfig
 
@@ -31,6 +42,9 @@ FEATURE_CANDIDATES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("P-R Interval", COMPOSITE_INTERVALS["P_R"]),
     ("Q-T Interval", COMPOSITE_INTERVALS["Q_T"]),
 )
+ATTENTION_FILE = "test_attention.bin"
+
+logger = logging.getLogger(__name__)
 
 
 def extract_importance(artifacts: ForwardArtifacts) -> np.ndarray:
@@ -51,6 +65,72 @@ def head_weights(params: dict[str, Tensor], config: VitConfig) -> np.ndarray:
     w_o = params[f"layers.{config.n_layers - 1}.w_o"].data
     raw = np.sqrt(np.square(w_o).reshape(config.n_heads, -1).sum(axis=1))
     return raw / raw.max()
+
+
+def _inputs_sha256(checkpoint: Path, windows: np.ndarray) -> dict[str, str]:
+    """What attention rows are computed from: the sha256 of the checkpoint file,
+    read 1 MiB at a time so that no whole copy of it is held, and of the
+    windows' <f8 bytes."""
+    digest = hashlib.sha256()
+    with open(checkpoint, "rb") as f:
+        for chunk in iter(partial(f.read, 1 << 20), b""):
+            digest.update(chunk)
+    return {"checkpoint_sha256": digest.hexdigest(),
+            "windows_sha256": hashlib.sha256(np.ascontiguousarray(windows, "<f8")).hexdigest()}
+
+
+def save_attention(path: Path, captured: list[ForwardArtifacts], checkpoint: Path,
+                   windows: np.ndarray) -> None:
+    """Write the attention rows [len(windows), H, N] of forwards `captured` over
+    `windows` with the model in `checkpoint`: the u64 LE length of a JSON header
+    (the rows' `shape`, `checkpoint_sha256` and `windows_sha256`), the header,
+    then the rows' <f8 bytes. An earlier file is removed first: writing a new
+    file is cheaper than overwriting one in place, which ext4 flushes at close."""
+    rows = np.concatenate([extract_importance(art) for art in captured])
+    header = json.dumps({"shape": list(rows.shape), **_inputs_sha256(checkpoint, windows)},
+                        sort_keys=True).encode("utf-8")
+    path.unlink(missing_ok=True)
+    with open(path, "wb") as f:
+        f.write(len(header).to_bytes(8, "little"))
+        f.write(header)
+        f.write(rows.astype("<f8", copy=False).tobytes())
+
+
+def load_attention(path: Path, checkpoint: Path, windows: np.ndarray,
+                   config: VitConfig) -> np.ndarray | None:
+    """The rows [len(windows), H, N] that save_attention wrote to path for these
+    windows and this checkpoint, or None when there is no file. A file that is
+    truncated or malformed, or was written for another checkpoint, other windows
+    or another shape, is not used either; one warning names it and says why."""
+    shape = [len(windows), config.n_heads, config.n_patches]
+    try:
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            hlen = int.from_bytes(f.read(8), "little")
+            if size < 8 or 8 + hlen > size:
+                raise ValueError(f"truncated (its header length field asks for {hlen} "
+                                 f"bytes, the file holds {size})")
+            try:
+                doc = json_value(json.loads(f.read(hlen)), dict, "header")
+            except (ValueError, RecursionError) as e:  # json.loads recurses per nesting level
+                raise ValueError(f"bad header ({e})") from None
+            for name, digest in _inputs_sha256(checkpoint, windows).items():
+                if doc.get(name) != digest:
+                    raise ValueError(f"its header field {name!r} is not the sha256 of this "
+                                     f"run's {name.split('_')[0]}")
+            if doc.get("shape") != shape:
+                raise ValueError(f"its header field 'shape' is "
+                                 f"{reprlib.repr(doc.get('shape'))}, this run's is {shape}")
+            count = math.prod(shape)
+            if size - 8 - hlen != 8 * count:
+                raise ValueError(f"it holds {size - 8 - hlen} bytes of rows, its shape "
+                                 f"needs {8 * count}")
+            return np.fromfile(f, dtype="<f8", count=count).reshape(shape)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as e:
+        logger.warning("%s not used, so explain runs the forwards: %s", path, e)
+        return None
 
 
 def attribute(importance: np.ndarray, interval_map: IntervalMap,

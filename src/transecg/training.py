@@ -233,9 +233,14 @@ def predict_logits(params, config, x: np.ndarray) -> np.ndarray:
     return np.concatenate([art.logits.data for art in forward_each(params, config, x)], axis=0)
 
 
+def probs_of(captured: list[vit.ForwardArtifacts]) -> np.ndarray:
+    """Class probabilities of `forward_each`'s artifacts: the softmax of their logits."""
+    return ad.softmax(Tensor(np.concatenate([art.logits.data for art in captured], axis=0))).data
+
+
 def predict_probs(params, config, x: np.ndarray) -> np.ndarray:
-    """Inference-mode class probabilities of windows: the softmax of their logits."""
-    return ad.softmax(Tensor(predict_logits(params, config, x))).data
+    """Inference-mode class probabilities of windows (`probs_of` their forwards)."""
+    return probs_of(forward_each(params, config, x))
 
 
 def train_step(params: dict[str, Tensor], config: vit.VitConfig, x: np.ndarray,

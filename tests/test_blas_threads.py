@@ -1,5 +1,6 @@
 """`train`, `evaluate` and `explain` write the same bytes whatever the BLAS
-thread count and however many workers run, at a width where OpenBLAS threads."""
+thread count and however many workers run, at a width where OpenBLAS threads;
+`explain` does so both from evaluate's test_attention.bin and from its own forwards."""
 
 import ctypes
 import hashlib
@@ -7,7 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from transecg import cli, training
+from transecg import cli, explain, training
 
 ARGS = [
     "--seed", "0", "--task", "gender",
@@ -40,12 +41,23 @@ def trained(tmp_path_factory):
     return workdir
 
 
+def sha256s(files):
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+
+
 def outputs(workdir):
-    """sha256 of metrics.json and of every explain/ file after evaluate and explain."""
+    """sha256 of metrics.json, test_attention.bin and every explain/ file after
+    evaluate and explain. explain, run again without test_attention.bin and so on
+    its own forwards, must write the same explain/ files."""
     for command in ("evaluate", "explain"):
         assert cli.main([command, "--workdir", str(workdir), *ARGS]) == 0
-    files = [workdir / "metrics.json", *sorted((workdir / "explain").iterdir())]
-    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+    saved = workdir / explain.ATTENTION_FILE
+    reports = sha256s(sorted((workdir / "explain").iterdir()))
+    got = {**sha256s([workdir / "metrics.json", saved]), **reports}
+    saved.unlink()
+    assert cli.main(["explain", "--workdir", str(workdir), *ARGS]) == 0
+    assert sha256s(sorted((workdir / "explain").iterdir())) == reports
+    return got
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(trained):
@@ -61,7 +73,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(trained):
         two = outputs(trained)
     finally:
         put(previous)
-    assert len(one) == 5
+    assert len(one) == 6
     assert one == two
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from transecg import autodiff, cli, data_io, training, vit
+from transecg import autodiff, cli, data_io, explain, training, vit
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -926,3 +926,134 @@ class TestPreprocessWorkers:
         assert f"{manifest}: record 0 ({tmp_path / 'S1.csv'})" in err
         assert "Traceback" not in err and "BrokenProcessPool" not in err
         assert not list(tmp_path.glob("windows.*"))
+
+
+def explain_digests(workdir):
+    """sha256 of each explain/ file."""
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted((workdir / "explain").iterdir())}
+
+
+def count_calls(monkeypatch, owner, name):
+    """A list that gains one item per call of owner.name from now on."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def flip_parameter_byte(work):
+    """Change the lowest byte of the checkpoint's last parameter."""
+    ckpt = work / "model.ckpt"
+    blob = bytearray(ckpt.read_bytes())
+    blob[-8] ^= 1
+    ckpt.write_bytes(bytes(blob))
+
+
+def change_test_window(work):
+    """Change one sample of the first test window in windows.bin."""
+    _, _, _, plan = cli.load_store(cli.RunConfig(workdir=str(work), seq_len=1000), 1000, "test")
+    store = np.fromfile(work / "windows.bin", dtype="<f8").reshape(-1, 1000)
+    store[plan.test[0], 500] += 1e-3
+    store.tofile(work / "windows.bin")
+
+
+def truncate_saved_attention(work):
+    saved = work / explain.ATTENTION_FILE
+    saved.write_bytes(saved.read_bytes()[:-8])
+
+
+def garble_saved_attention_header(work):
+    saved = work / explain.ATTENTION_FILE
+    blob = saved.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[:8])
+    saved.write_bytes(blob[:8] + b"\xff" * hlen + blob[8 + hlen:])
+
+
+class TestSavedAttention:
+    """evaluate leaves the test windows' attention rows in test_attention.bin, and
+    explain uses them, when they are for its checkpoint and windows, instead of
+    running forwards."""
+
+    @pytest.fixture
+    def work(self, pipeline, tmp_path):
+        work = shutil.copytree(pipeline, tmp_path / "work")
+        (work / explain.ATTENTION_FILE).unlink(missing_ok=True)
+        return work
+
+    def test_explain_after_evaluate_reads_saved_attention_and_runs_no_forward(
+            self, work, monkeypatch, capsys, caplog):
+        assert run("explain", work) == 0
+        assert ", attention from 4 forwards, " in capsys.readouterr().out
+        fresh = explain_digests(work)
+        assert run("evaluate", work) == 0
+        shutil.rmtree(work / "explain")
+        capsys.readouterr()
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("explain ran a forward")
+
+        monkeypatch.setattr(vit, "forward", no_forward)
+        assert run("explain", work) == 0
+        assert f", attention from {work / explain.ATTENTION_FILE}, " in capsys.readouterr().out
+        assert len(fresh) == 4
+        assert explain_digests(work) == fresh
+        assert not [r for r in caplog.records if r.name == "transecg.explain"]
+
+    @pytest.mark.parametrize("spoil, reason", [
+        (flip_parameter_byte, "header field 'checkpoint_sha256' is not the sha256 of this "
+                              "run's checkpoint"),
+        (change_test_window, "header field 'windows_sha256' is not the sha256 of this "
+                             "run's windows"),
+        (truncate_saved_attention, "bytes of rows, its shape needs"),
+        (garble_saved_attention_header, "bad header"),
+    ], ids=["checkpoint", "window", "truncated", "header"])
+    def test_stale_or_broken_saved_attention_is_not_used(self, work, monkeypatch, caplog,
+                                                         spoil, reason):
+        assert run("evaluate", work) == 0
+        spoil(work)
+        forwards = count_calls(monkeypatch, training, "forward_each")
+        caplog.clear()
+        assert run("explain", work) == 0
+        warned = [r.getMessage() for r in caplog.records if r.name == "transecg.explain"]
+        assert len(warned) == 1
+        assert str(work / explain.ATTENTION_FILE) in warned[0] and reason in warned[0]
+        assert len(forwards) == 1
+        spoiled = explain_digests(work)
+        (work / explain.ATTENTION_FILE).unlink()
+        assert run("explain", work) == 0
+        assert explain_digests(work) == spoiled
+
+    def test_evaluate_runs_its_forwards_even_with_saved_attention(self, work, monkeypatch):
+        assert run("evaluate", work) == 0
+        written = {name: (work / name).read_bytes()
+                   for name in ("metrics.json", explain.ATTENTION_FILE)}
+        forwards = count_calls(monkeypatch, training, "forward_each")
+        reads = count_calls(monkeypatch, explain, "load_attention")
+        assert run("evaluate", work) == 0
+        assert len(forwards) == 1 and not reads
+        assert {name: (work / name).read_bytes() for name in written} == written
+
+    def test_saved_attention_file_layout(self, work):
+        """A u64 LE header length, a JSON header of the rows' shape and the two
+        digests, then the rows as <f8: the test windows' class-token rows."""
+        assert run("evaluate", work) == 0
+        blob = (work / explain.ATTENTION_FILE).read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        header = json.loads(blob[8:8 + hlen])
+        params, config, _, _ = vit.load_checkpoint(work / "model.ckpt")
+        x, _, _, plan = cli.load_store(cli.RunConfig(workdir=str(work), seq_len=1000), 1000,
+                                       "test")
+        test = x[plan.test]
+        assert header == {
+            "shape": [len(test), 2, 20],
+            "checkpoint_sha256": hashlib.sha256((work / "model.ckpt").read_bytes()).hexdigest(),
+            "windows_sha256": hashlib.sha256(test.astype("<f8").tobytes()).hexdigest(),
+        }
+        rows = np.frombuffer(blob[8 + hlen:], dtype="<f8").reshape(header["shape"])
+        want = vit.forward(test, params, config, capture_attention=True).attention[:, :, 0, 1:]
+        np.testing.assert_allclose(rows, want, rtol=1e-12)
