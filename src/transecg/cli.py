@@ -16,7 +16,6 @@ import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from logging.handlers import BufferingHandler
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +32,11 @@ MAX_SYNTH_SAMPLES = 21_600_000  # 24 h at the default 250 Hz
 # this many bytes: starting them costs about 20 ms, which two workers win back
 # from about 2-4 MB of CSV on (a 2-core x86 box)
 WORKERS_MIN_CSV_BYTES = 8_000_000
+# scipy's Butterworth sections go non-finite from order 173 for the default band
+# at 100 Hz, and from order 46 for band edges a hair inside 0 Hz and Nyquist
+MAX_FILTER_ORDER = 32
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,9 @@ class RunConfig(vit.VitHParams, training.TrainHParams):
 
     def validate(self) -> None:
         self.vit_config(2)
+        if not 1 <= self.filter_order <= MAX_FILTER_ORDER:
+            raise ValueError(f"config field 'filter_order' must be in [1, {MAX_FILTER_ORDER}], "
+                             f"got {self.filter_order}")
         signal_core.FilterSpec(self.low_hz, self.high_hz, self.filter_order, fs=float("inf"))
         for name in ("synth_subjects", "explain_windows"):
             if getattr(self, name) <= 0:
@@ -169,25 +176,14 @@ def cmd_synth(cfg: RunConfig) -> str:
 
 
 def _preprocess_one(cfg: RunConfig, manifest_path: Path, i: int,
-                    entry: data_io.ManifestEntry) -> tuple[np.ndarray, list[logging.LogRecord]]:
-    """Record i's windows, and the log records made while making them. The
-    records are held back from the `transecg` loggers' handlers, and the caller
-    hands them on, so that a worker process's warnings reach the parent."""
+                    entry: data_io.ManifestEntry) -> tuple[np.ndarray, str | None]:
+    """Record i's windows, and why it is excluded (None if it is not)."""
     try:
         spec = signal_core.FilterSpec(cfg.low_hz, cfg.high_hz, cfg.filter_order, entry.fs)
     except ValueError as e:
         raise ValueError(f"{manifest_path}: record {i} field 'fs': {e}") from None
-    log = logging.getLogger("transecg")
-    held = BufferingHandler(sys.maxsize)  # never full, so never flushed
-    handlers, propagate = log.handlers, log.propagate
-    log.handlers, log.propagate = [held], False
-    try:
-        rows = signal_core.preprocess_record(
-            data_io.load_record(entry), spec, cfg.fs_target, cfg.median_kernel,
-            cfg.seq_len, f"{entry.subject_id} ({entry.csv_path})")
-    finally:
-        log.handlers, log.propagate = handlers, propagate
-    return rows, held.buffer
+    return signal_core.preprocess_record(data_io.load_record(entry), spec, cfg.fs_target,
+                                         cfg.median_kernel, cfg.seq_len)
 
 
 def _csv_bytes(entries: list[data_io.ManifestEntry]) -> int:
@@ -227,10 +223,10 @@ def cmd_preprocess(cfg: RunConfig) -> str:
 
     Records are preprocessed on every usable core once their CSVs are large
     enough to repay starting worker processes; each record's windows are
-    appended to windows.bin.part in record order, so the store is the same at
-    any core count. The part file replaces windows.bin only when every record
-    was read and at least one window made, so a failed run leaves the previous
-    store as it was."""
+    appended to windows.bin.part, and each excluded record logged, in record
+    order, so the store and the log are the same at any core count. The part
+    file replaces windows.bin only when every record was read and at least one
+    window made, so a failed run leaves the previous store as it was."""
     workdir = Path(cfg.workdir)
     manifest_path = Path(cfg.manifest) if cfg.manifest else workdir / "data" / "manifest.json"
     entries = data_io.load_manifest(manifest_path)
@@ -244,14 +240,15 @@ def cmd_preprocess(cfg: RunConfig) -> str:
                                               entries)) as results):
             for i, entry in enumerate(entries):
                 try:
-                    rows, logs = next(results)
+                    rows, reason = next(results)
                 except concurrent.futures.BrokenExecutor:
                     # an OSError, which main reports as one error line
                     raise ChildProcessError(
                         f"{manifest_path}: record {i} ({entry.csv_path}) was not preprocessed: "
                         f"a worker process ended abruptly") from None
-                for record in logs:
-                    logging.getLogger(record.name).handle(record)
+                if reason:
+                    logger.warning("record %s (%s) excluded: %s", entry.subject_id,
+                                   entry.csv_path, reason)
                 f.write(rows.astype("<f8", copy=False).tobytes())
                 excluded += not len(rows)
                 index += [{

@@ -6,11 +6,12 @@ import contextlib
 import io
 import json
 import logging
+import os
 import reprlib
 import sys
 import warnings
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -97,6 +98,43 @@ def write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(doc, f, sort_keys=True, indent=2)
         f.write("\n")
+
+
+def write_framed(path, header: dict, arrays: Iterable[np.ndarray]) -> None:
+    """Write a framed file: the u64 LE length of `header` as sorted-key JSON, that
+    JSON, then each of `arrays` as <f8 bytes, one at a time. An earlier file is
+    removed first: writing a new file is cheaper than overwriting one in place,
+    which ext4 flushes at close."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    Path(path).unlink(missing_ok=True)
+    with open(path, "wb") as f:
+        f.write(len(blob).to_bytes(8, "little"))
+        f.write(blob)
+        for array in arrays:
+            f.write(np.asarray(array, dtype="<f8").tobytes())
+
+
+def read_framed(path, count_of: Callable[[dict], int]) -> tuple[dict, np.ndarray]:
+    """The header and the flat <f8 payload of a file write_framed wrote. The
+    header length is checked against the file size before the header is read;
+    count_of(header) checks the header, raising ValueError if it is not taken,
+    and says how many values the payload holds, which is checked before the
+    payload is read. Any fault is a ValueError that names the path."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        hlen = int.from_bytes(f.read(8), "little")
+        if size < 8 or 8 + hlen > size:
+            raise ValueError(f"{path}: truncated or corrupt (its header length field asks "
+                             f"for {hlen} bytes, the file holds {size})")
+        try:
+            header = json_value(json.loads(f.read(hlen)), dict, "header")
+            count = count_of(header)
+        except (ValueError, RecursionError) as e:  # json.loads recurses per nesting level
+            raise ValueError(f"{path}: bad header ({e})") from None
+        if size - 8 - hlen != 8 * count:
+            raise ValueError(f"{path} holds {size - 8 - hlen} payload bytes, but its header "
+                             f"needs {8 * count}")
+        return header, np.fromfile(f, dtype="<f8", count=count)
 
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:

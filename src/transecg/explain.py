@@ -15,10 +15,8 @@ windows' class-token attention rows, which `evaluate` computes anyway and
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
-import os
 import reprlib
 from functools import partial
 from pathlib import Path
@@ -26,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .data_io import json_value, write_json
+from .data_io import read_framed, write_framed, write_json
 from .delineation import BASE_INTERVALS, IntervalMap
 from .vit import ForwardArtifacts, VitConfig
 
@@ -82,18 +80,12 @@ def _inputs_sha256(checkpoint: Path, windows: np.ndarray) -> dict[str, str]:
 def save_attention(path: Path, captured: list[ForwardArtifacts], checkpoint: Path,
                    windows: np.ndarray) -> None:
     """Write the attention rows [len(windows), H, N] of forwards `captured` over
-    `windows` with the model in `checkpoint`: the u64 LE length of a JSON header
-    (the rows' `shape`, `checkpoint_sha256` and `windows_sha256`), the header,
-    then the rows' <f8 bytes. An earlier file is removed first: writing a new
-    file is cheaper than overwriting one in place, which ext4 flushes at close."""
+    `windows` with the model in `checkpoint` as a framed file
+    (data_io.write_framed): a JSON header of the rows' `shape`,
+    `checkpoint_sha256` and `windows_sha256`, then the rows."""
     rows = np.concatenate([extract_importance(art) for art in captured])
-    header = json.dumps({"shape": list(rows.shape), **_inputs_sha256(checkpoint, windows)},
-                        sort_keys=True).encode("utf-8")
-    path.unlink(missing_ok=True)
-    with open(path, "wb") as f:
-        f.write(len(header).to_bytes(8, "little"))
-        f.write(header)
-        f.write(rows.astype("<f8", copy=False).tobytes())
+    write_framed(path, {"shape": list(rows.shape), **_inputs_sha256(checkpoint, windows)},
+                 [rows])
 
 
 def load_attention(path: Path, checkpoint: Path, windows: np.ndarray,
@@ -103,33 +95,23 @@ def load_attention(path: Path, checkpoint: Path, windows: np.ndarray,
     truncated or malformed, or was written for another checkpoint, other windows
     or another shape, is not used either; one warning names it and says why."""
     shape = [len(windows), config.n_heads, config.n_patches]
+
+    def count_of(header: dict) -> int:
+        for name, digest in _inputs_sha256(checkpoint, windows).items():
+            if header.get(name) != digest:
+                raise ValueError(f"its header field {name!r} is not the sha256 of this "
+                                 f"run's {name.split('_')[0]}")
+        if header.get("shape") != shape:
+            raise ValueError(f"its header field 'shape' is "
+                             f"{reprlib.repr(header.get('shape'))}, this run's is {shape}")
+        return math.prod(shape)
+
     try:
-        with open(path, "rb") as f:
-            size = os.fstat(f.fileno()).st_size
-            hlen = int.from_bytes(f.read(8), "little")
-            if size < 8 or 8 + hlen > size:
-                raise ValueError(f"truncated (its header length field asks for {hlen} "
-                                 f"bytes, the file holds {size})")
-            try:
-                doc = json_value(json.loads(f.read(hlen)), dict, "header")
-            except (ValueError, RecursionError) as e:  # json.loads recurses per nesting level
-                raise ValueError(f"bad header ({e})") from None
-            for name, digest in _inputs_sha256(checkpoint, windows).items():
-                if doc.get(name) != digest:
-                    raise ValueError(f"its header field {name!r} is not the sha256 of this "
-                                     f"run's {name.split('_')[0]}")
-            if doc.get("shape") != shape:
-                raise ValueError(f"its header field 'shape' is "
-                                 f"{reprlib.repr(doc.get('shape'))}, this run's is {shape}")
-            count = math.prod(shape)
-            if size - 8 - hlen != 8 * count:
-                raise ValueError(f"it holds {size - 8 - hlen} bytes of rows, its shape "
-                                 f"needs {8 * count}")
-            return np.fromfile(f, dtype="<f8", count=count).reshape(shape)
+        return read_framed(path, count_of)[1].reshape(shape)
     except FileNotFoundError:
         return None
     except (OSError, ValueError) as e:
-        logger.warning("%s not used, so explain runs the forwards: %s", path, e)
+        logger.warning("%s; not used, so explain runs the forwards", e)
         return None
 
 

@@ -7,14 +7,11 @@ A record's windows are the rows of one [n, seq_len] array.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 from scipy import signal as sps
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -149,28 +146,22 @@ def window(x: np.ndarray, seq_len: int) -> np.ndarray:
 
 
 def preprocess_record(record: EcgRecord, spec: FilterSpec, fs_target: float, median_kernel: int,
-                      seq_len: int, name: str) -> np.ndarray:
+                      seq_len: int) -> tuple[np.ndarray, str | None]:
     """Full preprocessing chain: bandpass, median, resample, window, normalize.
 
-    Returns the [n, seq_len] windows; row i starts at resampled sample
-    i*seq_len. A record too short to filter, for the median kernel or for one
-    window gives no rows and is logged as excluded under `name`, which the
-    caller gives (the CLI's is "<subject_id> (<csv>)").
+    Returns the [n, seq_len] windows, row i starting at resampled sample
+    i*seq_len, and None; or, for a record too short to filter, for the median
+    kernel or for one window, no rows and why it is excluded.
     """
     sos = design_butterworth_bandpass(spec)
     pad = filter_pad_length(sos)
-    if record.samples.size <= pad:
-        logger.warning("record %s excluded: %d samples, too few to filter (needs more than %d)",
-                       name, record.samples.size, pad)
-        return np.empty((0, seq_len))
-    if record.samples.size < median_kernel:
-        logger.warning("record %s excluded: %d samples, fewer than median_kernel %d",
-                       name, record.samples.size, median_kernel)
-        return np.empty((0, seq_len))
+    n = record.samples.size
+    if n <= pad:
+        return np.empty((0, seq_len)), f"{n} samples, too few to filter (needs more than {pad})"
+    if n < median_kernel:
+        return np.empty((0, seq_len)), f"{n} samples, fewer than median_kernel {median_kernel}"
     x = filtfilt(sos, record.samples)
     x = median_filter(x, median_kernel)
     x = resample(x, record.fs, fs_target)
     windows = window(x, seq_len)
-    if not len(windows):
-        logger.warning("record %s excluded: %d samples < window length %d", name, x.size, seq_len)
-    return windows
+    return windows, None if len(windows) else f"{x.size} samples < window length {seq_len}"

@@ -28,9 +28,7 @@ row, the head's two and the loss, a training forward and its loss tape
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -231,45 +229,30 @@ def forward(x: np.ndarray, params: dict[str, Tensor], config: VitConfig,
 
 def save_checkpoint(path, params: dict[str, Tensor], config: VitConfig,
                     vocab: dict[str, int], meta: dict | None = None) -> None:
-    """Write the u64 LE length of a JSON header (config, label vocabulary, meta),
-    the header, then every parameter's <f8 bytes in param_shapes(config) order."""
-    header = json.dumps(
-        {"config": asdict(config), "vocab": vocab, "meta": meta or {}},
-        sort_keys=True,
-    ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(len(header).to_bytes(8, "little"))
-        f.write(header)
-        for name in param_shapes(config):
-            f.write(np.asarray(params[name].data, dtype="<f8").tobytes())
+    """Write a framed file (data_io.write_framed): a JSON header of the config,
+    label vocabulary and meta, then every parameter in param_shapes(config) order."""
+    data_io.write_framed(path, {"config": asdict(config), "vocab": vocab, "meta": meta or {}},
+                         (params[name].data for name in param_shapes(config)))
+
+
+def _parse_header(header: dict) -> tuple[VitConfig, dict[str, int], dict]:
+    """A checkpoint header's config, vocabulary and meta, each checked."""
+    stored = data_io.json_field(header, "config", dict, "header")
+    for field in fields(VitConfig):  # a default would silently stand in
+        if field.name not in stored:
+            raise ValueError(f"config has no field {field.name!r}")
+    return (data_io.json_dataclass(VitConfig(), stored, "config"),
+            data_io.json_field(header, "vocab", dict, "header"),
+            data_io.json_field(header, "meta", dict, "header"))
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], VitConfig, dict[str, int], dict]:
     """Read a checkpoint written by save_checkpoint, for inference: the returned
-    parameters do not require grad, so a forward pass over them records no tape."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        hlen = int.from_bytes(f.read(8), "little")
-        if size < 8 or 8 + hlen > size:
-            raise ValueError(f"{path}: truncated or corrupt checkpoint (its header "
-                             f"length field asks for {hlen} bytes, the file holds {size})")
-        header = f.read(hlen)
-        try:
-            doc = data_io.json_value(json.loads(header), dict, "header")
-            stored = data_io.json_field(doc, "config", dict, "header")
-            for field in fields(VitConfig):  # a default would silently stand in
-                if field.name not in stored:
-                    raise ValueError(f"config has no field {field.name!r}")
-            config = data_io.json_dataclass(VitConfig(), stored, "config")
-            vocab = data_io.json_field(doc, "vocab", dict, "header")
-            meta = data_io.json_field(doc, "meta", dict, "header")
-        except (ValueError, RecursionError) as e:  # json.loads recurses per nesting level
-            raise ValueError(f"{path}: bad checkpoint header ({e})") from e
-        count = param_count(config)  # checked before param_shapes lists every layer
-        if size - 8 - hlen != 8 * count:
-            raise ValueError(f"{path} holds {size - 8 - hlen} parameter bytes, but its "
-                             f"config needs {8 * count}; retrain it")
-        flat = np.fromfile(f, dtype="<f8", count=count)
+    parameters do not require grad, so a forward pass over them records no tape.
+    The payload size is checked by param_count, so that a corrupt n_layers is
+    refused before param_shapes lists every layer."""
+    header, flat = data_io.read_framed(path, lambda header: param_count(_parse_header(header)[0]))
+    config, vocab, meta = _parse_header(header)
     shapes = param_shapes(config)
     sizes = [math.prod(shape) for shape in shapes.values()]
     chunks = np.split(flat, np.cumsum(sizes)[:-1])

@@ -1,6 +1,4 @@
-import json
 import re
-import struct
 import threading
 import tracemalloc
 
@@ -13,7 +11,6 @@ from scipy.special import logsumexp, softmax
 
 from gradcheck import fd_gradient, project, rel_error
 from transecg import autodiff as ad
-from transecg import vit
 from transecg.autodiff import AdamW, Tensor
 
 
@@ -576,52 +573,3 @@ class TestAdamW:
             opt.step()
             norms.append(np.linalg.norm(p.data))
         assert all(b < a for a, b in zip(norms, norms[1:]))
-
-
-class TestTruncation:
-    """Refusal of cut and corrupt parameter files. The parameters' file format is
-    the checkpoint's now (vit.save_checkpoint / vit.load_checkpoint); these cases
-    keep the names they had when autodiff wrote its own tensor container."""
-
-    def test_truncated_container_raises_value_error(self, tmp_path):
-        blob = _checkpoint_bytes(tmp_path)
-        (hlen,) = struct.unpack("<Q", blob[:8])
-        # every cut through the length field, the header and the first parameters
-        for cut in range(8 + hlen + 64):
-            path = tmp_path / "cut.ckpt"
-            path.write_bytes(blob[:cut])
-            with pytest.raises(ValueError, match="cut.ckpt"):
-                vit.load_checkpoint(path)
-
-    # the ids name the container's length fields; each case corrupts the checkpoint
-    # field that now fixes the same kind of length: the header length (one past the
-    # file's end), and the model width and MLP width its parameter shapes follow
-    @pytest.mark.parametrize("field", ["name_length", "rank", "dimension"])
-    def test_corrupt_length_field_refused_before_reading(self, tmp_path, field):
-        blob = _checkpoint_bytes(tmp_path)
-        (hlen,) = struct.unpack("<Q", blob[:8])
-        if field == "name_length":
-            blob = struct.pack("<Q", len(blob) - 8 + 1) + blob[8:]
-        else:
-            header = json.loads(blob[8:8 + hlen])
-            header["config"]["hidden_dim" if field == "dimension" else "mlp_dim"] = 2**40
-            new = json.dumps(header, sort_keys=True).encode("utf-8")
-            blob = struct.pack("<Q", len(new)) + new + blob[8 + hlen:]
-        path = tmp_path / "corrupt.ckpt"
-        path.write_bytes(blob)
-        with pytest.raises(ValueError, match="corrupt.ckpt"):
-            vit.load_checkpoint(path)
-
-    def test_short_read_names_the_path(self, tmp_path):
-        path = tmp_path / "cut.ckpt"
-        path.write_bytes(_checkpoint_bytes(tmp_path)[:-3])
-        with pytest.raises(ValueError, match="cut.ckpt"):
-            vit.load_checkpoint(path)
-
-
-def _checkpoint_bytes(tmp_path):
-    config = vit.VitConfig(seq_len=20, patch_size=10, hidden_dim=4, n_layers=1,
-                           n_heads=2, mlp_dim=4, n_classes=2)
-    path = tmp_path / "model.ckpt"
-    vit.save_checkpoint(path, vit.init_params(config, seed=0), config, {"a": 0})
-    return path.read_bytes()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import framing
 from transecg import autodiff, cli, data_io, explain, training, vit
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -554,6 +556,17 @@ class TestErrors:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("order", [240, 1000])
+    def test_filter_order_too_high_exits_naming_field(self, tmp_path, capsys, order):
+        """Butterworth sections of order 240 are not finite at 250 Hz, and those of
+        order 1000 overflow while scipy designs them."""
+        assert run("synth", tmp_path) == 0
+        capsys.readouterr()
+        assert run("preprocess", tmp_path, extra=["--set", f"filter_order={order}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'filter_order'" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["evaluate", "explain"])
     @pytest.mark.parametrize("flag,value", [("--seed", "3"), ("--task", "age")])
     def test_checkpoint_split_mismatch_refused(self, pipeline, capsys, command, flag, value):
@@ -700,7 +713,7 @@ class TestErrors:
         bad.write_bytes(struct.pack("<Q", len(header)) + header)
         assert run("evaluate", pipeline, extra=["--set", f"checkpoint={bad}"]) == 1
         err = capsys.readouterr().err
-        assert str(bad) in err and "bad checkpoint header" in err
+        assert f"{bad}: bad header (" in err
 
     @pytest.mark.parametrize("edit,field", [
         (lambda header: header["config"].update(seq_len=1000.0), "seq_len"),
@@ -876,15 +889,17 @@ class TestPreprocessWorkers:
         logged = {}
         for cores in (1, 2):
             caplog.clear()
+            pools = count_calls(monkeypatch, concurrent.futures, "ProcessPoolExecutor")
             assert self.preprocess(monkeypatch, tmp_path / f"cores{cores}", manifest, cores) == 0
+            assert len(pools) == (cores == 2)
             records = [r for r in caplog.records if r.name.startswith("transecg")]
             logged[cores] = [(r.name, r.levelno, r.getMessage()) for r in records]
-            # at two cores the records were made in worker processes
-            assert ({r.process for r in records} == {os.getpid()}) == (cores == 1)
+            # at two cores the records were preprocessed in workers, and logged here
+            assert {r.process for r in records} == {os.getpid()}
         assert logged[1] == logged[2]
         assert [(name, message.split(" excluded")[0]) for name, _, message in logged[2]] == [
-            ("transecg.signal_core", f"record S2 ({tmp_path / 'S2.csv'})"),
-            ("transecg.signal_core", f"record S4 ({tmp_path / 'S4.csv'})"),
+            ("transecg.cli", f"record S2 ({tmp_path / 'S2.csv'})"),
+            ("transecg.cli", f"record S4 ({tmp_path / 'S4.csv'})"),
         ]
 
     def test_preprocess_of_small_csvs_starts_no_worker(self, tmp_path, monkeypatch, caplog):
@@ -892,10 +907,11 @@ class TestPreprocessWorkers:
         size = sum(p.stat().st_size for p in tmp_path.glob("*.csv"))
         for min_bytes, inline in ((size + 1, True), (size, False)):
             caplog.clear()
+            pools = count_calls(monkeypatch, concurrent.futures, "ProcessPoolExecutor")
             assert self.preprocess(monkeypatch, tmp_path, manifest, 2, min_bytes) == 0
             records = [r for r in caplog.records if r.name.startswith("transecg")]
             assert len(records) == 2
-            assert ({r.process for r in records} == {os.getpid()}) == inline
+            assert len(pools) == (not inline)
 
     def test_failed_preprocess_at_two_workers_raises_first_bad_record(
             self, tmp_path, monkeypatch, capsys):
@@ -974,6 +990,28 @@ def garble_saved_attention_header(work):
     saved.write_bytes(blob[:8] + b"\xff" * hlen + blob[8 + hlen:])
 
 
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_cut_of_saved_attention_is_refused(tmp_path, caplog, data):
+    """A test_attention.bin cut anywhere is not used: load_attention gives None,
+    and one warning names the file."""
+    config = vit.VitConfig(seq_len=40, patch_size=10, hidden_dim=8, n_layers=1, n_heads=2,
+                           mlp_dim=8, n_classes=2)
+    params = vit.init_params(config, seed=0)
+    ckpt, saved = tmp_path / "model.ckpt", tmp_path / explain.ATTENTION_FILE
+    vit.save_checkpoint(ckpt, params, config, {})
+    windows = np.random.default_rng(0).uniform(size=(3, config.seq_len))
+    explain.save_attention(saved, [vit.forward(windows, params, config, capture_attention=True)],
+                           ckpt, windows)
+    blob = saved.read_bytes()
+    # the named cut drops the last window's rows whole
+    saved.write_bytes(blob[:data.draw(framing.cuts(blob, 8 * config.n_heads * config.n_patches))])
+    caplog.clear()
+    assert explain.load_attention(saved, ckpt, windows, config) is None
+    warned = [r.getMessage() for r in caplog.records if r.name.startswith("transecg")]
+    assert len(warned) == 1 and str(saved) in warned[0]
+
+
 class TestSavedAttention:
     """evaluate leaves the test windows' attention rows in test_attention.bin, and
     explain uses them, when they are for its checkpoint and windows, instead of
@@ -1009,7 +1047,7 @@ class TestSavedAttention:
                               "run's checkpoint"),
         (change_test_window, "header field 'windows_sha256' is not the sha256 of this "
                              "run's windows"),
-        (truncate_saved_attention, "bytes of rows, its shape needs"),
+        (truncate_saved_attention, "payload bytes, but its header needs"),
         (garble_saved_attention_header, "bad header"),
     ], ids=["checkpoint", "window", "truncated", "header"])
     def test_stale_or_broken_saved_attention_is_not_used(self, work, monkeypatch, caplog,

@@ -218,22 +218,23 @@ class TestPreprocessRecord:
         """Row i holds the processed trace's samples from i*seq_len, the offset
         preprocess stores for it; the trailing 999 samples make no row."""
         record = self._record(4999)
-        wins = sc.preprocess_record(record, self.SPEC, 250.0, 5, seq_len, "s1")
+        wins, reason = sc.preprocess_record(record, self.SPEC, 250.0, 5, seq_len)
+        assert reason is None
         sos = sc.design_butterworth_bandpass(self.SPEC)
         trace = sc.resample(sc.median_filter(sc.filtfilt(sos, record.samples), 5), 250.0, 250.0)
         assert wins.shape == (len(offsets), seq_len)
         for row, offset in zip(wins, offsets):
             assert np.array_equal(row, sc.minmax_normalize(trace[offset:offset + seq_len]))
 
-    def test_short_record_logged_as_excluded(self, caplog):
-        wins = sc.preprocess_record(self._record(1999), self.SPEC, 250.0, 5, 2000, "s1")
+    def test_short_record_logged_as_excluded(self):
+        wins, reason = sc.preprocess_record(self._record(1999), self.SPEC, 250.0, 5, 2000)
         assert wins.shape == (0, 2000)
-        assert "record s1 excluded" in caplog.text
+        assert reason == "1999 samples < window length 2000"
 
-    def test_record_too_short_to_filter_logged_as_excluded(self, caplog):
-        wins = sc.preprocess_record(self._record(27), self.SPEC, 250.0, 5, 10, "s1 (s1.csv)")
+    def test_record_too_short_to_filter_logged_as_excluded(self):
+        wins, reason = sc.preprocess_record(self._record(27), self.SPEC, 250.0, 5, 10)
         assert wins.shape == (0, 10)
-        assert "record s1 (s1.csv) excluded: 27 samples, too few to filter" in caplog.text
+        assert reason == "27 samples, too few to filter (needs more than 27)"
 
 
 @given(seq_len=st.integers(1, 40), lengths=st.lists(st.integers(1, 400), min_size=1, max_size=2),
@@ -247,9 +248,10 @@ def test_id_split_shares_no_sample_with_train(seq_len, lengths, val, test, seed)
     rng = np.random.default_rng(seed)
     subject_ids, offsets = [], []
     for k, n in enumerate(lengths):
-        wins = sc.preprocess_record(sc.EcgRecord(rng.normal(size=n), 250.0), spec, 250.0, 5,
-                                    seq_len, f"S{k}")
+        wins, reason = sc.preprocess_record(sc.EcgRecord(rng.normal(size=n), 250.0), spec,
+                                            250.0, 5, seq_len)
         assert len(wins) == (n // seq_len if n > pad else 0)  # resampling 250 Hz keeps n
+        assert (reason is None) == bool(len(wins))
         subject_ids += [f"S{k}"] * len(wins)
         offsets += range(0, wins.size, seq_len)
     try:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import framing
 from gradcheck import fd_gradient, rel_error
 from transecg import autodiff as ad
 from transecg import vit
@@ -408,7 +409,8 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         wider = dataclasses.replace(TINY, mlp_dim=32)
         vit.save_checkpoint(path, tiny_params, wider, {})
-        with pytest.raises(ValueError, match=f"{path.name} holds .* retrain"):
+        with pytest.raises(ValueError, match=f"{path.name} holds .* payload bytes, but its "
+                                             f"header needs"):
             vit.load_checkpoint(path)
 
     def test_corrupt_header_length_refused_before_reading(self, tmp_path):
@@ -427,14 +429,46 @@ class TestCheckpoint:
     @given(data=st.data())
     def test_every_truncation_raises_value_error(self, tmp_path, data):
         blob = _checkpoint_bytes(tmp_path)
-        # dropping the last parameter whole leaves a well-formed header: try that too
-        last = len(blob) - 8 * TINY.n_classes
-        cut = data.draw(st.integers(0, len(blob) - 1) | st.just(last))
+        # the named cut drops the last parameter, the head's bias, whole
+        cut = data.draw(framing.cuts(blob, 8 * TINY.n_classes))
         path = tmp_path / f"cut{cut}.ckpt"
         path.write_bytes(blob[:cut])
         with pytest.raises(ValueError, match=path.name):
             vit.load_checkpoint(path)
 
+    def test_every_cut_through_header_and_first_parameters_refused(self, tmp_path):
+        blob = _checkpoint_bytes(tmp_path)
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        # every cut through the length field, the header and the first parameters
+        for cut in range(8 + hlen + 64):
+            path = tmp_path / "cut.ckpt"
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match="cut.ckpt"):
+                vit.load_checkpoint(path)
+
+    # each case corrupts a field that fixes a length: the header length (one past
+    # the file's end), or a width that the parameter shapes follow
+    @pytest.mark.parametrize("field", ["header_length", "hidden_dim", "mlp_dim"])
+    def test_corrupt_length_field_refused_before_reading(self, tmp_path, field):
+        blob = _checkpoint_bytes(tmp_path)
+        (hlen,) = struct.unpack("<Q", blob[:8])
+        if field == "header_length":
+            blob = struct.pack("<Q", len(blob) - 8 + 1) + blob[8:]
+        else:
+            header = json.loads(blob[8:8 + hlen])
+            header["config"][field] = 2**40
+            new = json.dumps(header, sort_keys=True).encode("utf-8")
+            blob = struct.pack("<Q", len(new)) + new + blob[8 + hlen:]
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="corrupt.ckpt"):
+            vit.load_checkpoint(path)
+
+    def test_short_read_names_the_path(self, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(_checkpoint_bytes(tmp_path)[:-3])
+        with pytest.raises(ValueError, match="cut.ckpt"):
+            vit.load_checkpoint(path)
 
     def test_huge_layer_count_refused_in_constant_memory(self, tmp_path):
         blob = _checkpoint_bytes(tmp_path)
